@@ -31,7 +31,7 @@ use nvmsim::shadow::FaultPolicy;
 use nvmsim::Region;
 use pds::{NodeArena, PArt, PHashSet};
 use pi_core::{FatPtrCached, OffHolder, Riv};
-use pstore::{ObjectStore, StoreHealth};
+use pstore::{ObjectStore, StoreHealth, Tx};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -330,19 +330,19 @@ impl TenantSet {
         })
     }
 
-    fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool, String> {
+    fn insert_in(&mut self, tx: &mut Tx<'_>, key: u64) -> Result<bool, String> {
         match self {
-            TenantSet::Off(s) => s.insert_tx(store, key).map_err(err),
-            TenantSet::Riv(s) => s.insert_tx(store, key).map_err(err),
-            TenantSet::Fat(s) => s.insert_tx(store, key).map_err(err),
+            TenantSet::Off(s) => s.insert_in(tx, key).map_err(err),
+            TenantSet::Riv(s) => s.insert_in(tx, key).map_err(err),
+            TenantSet::Fat(s) => s.insert_in(tx, key).map_err(err),
         }
     }
 
-    fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool, String> {
+    fn remove_in(&mut self, tx: &mut Tx<'_>, key: u64) -> Result<bool, String> {
         match self {
-            TenantSet::Off(s) => s.remove_tx(store, key).map_err(err),
-            TenantSet::Riv(s) => s.remove_tx(store, key).map_err(err),
-            TenantSet::Fat(s) => s.remove_tx(store, key).map_err(err),
+            TenantSet::Off(s) => s.remove_in(tx, key).map_err(err),
+            TenantSet::Riv(s) => s.remove_in(tx, key).map_err(err),
+            TenantSet::Fat(s) => s.remove_in(tx, key).map_err(err),
         }
     }
 
@@ -400,27 +400,19 @@ impl TenantIndex {
         })
     }
 
-    fn insert_tx(&mut self, store: &ObjectStore, word: &str) -> Result<(), String> {
+    fn insert_in(&mut self, tx: &mut Tx<'_>, word: &str) -> Result<(), String> {
         match self {
-            TenantIndex::Off(a) => a.insert_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Riv(a) => a.insert_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Fat(a) => a.insert_tx(store, word).map(|_| ()).map_err(err),
+            TenantIndex::Off(a) => a.insert_in(tx, word).map(|_| ()).map_err(err),
+            TenantIndex::Riv(a) => a.insert_in(tx, word).map(|_| ()).map_err(err),
+            TenantIndex::Fat(a) => a.insert_in(tx, word).map(|_| ()).map_err(err),
         }
     }
 
-    fn remove_tx(&mut self, store: &ObjectStore, word: &str) -> Result<(), String> {
+    fn remove_in(&mut self, tx: &mut Tx<'_>, word: &str) -> Result<(), String> {
         match self {
-            TenantIndex::Off(a) => a.remove_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Riv(a) => a.remove_tx(store, word).map(|_| ()).map_err(err),
-            TenantIndex::Fat(a) => a.remove_tx(store, word).map(|_| ()).map_err(err),
-        }
-    }
-
-    fn contains(&self, word: &str) -> bool {
-        match self {
-            TenantIndex::Off(a) => a.contains(word),
-            TenantIndex::Riv(a) => a.contains(word),
-            TenantIndex::Fat(a) => a.contains(word),
+            TenantIndex::Off(a) => a.remove_in(tx, word).map(|_| ()).map_err(err),
+            TenantIndex::Riv(a) => a.remove_in(tx, word).map(|_| ()).map_err(err),
+            TenantIndex::Fat(a) => a.remove_in(tx, word).map(|_| ()).map_err(err),
         }
     }
 
@@ -617,9 +609,6 @@ impl Tenant {
         self.store = Some(store);
         self.set = Some(set);
         self.idx = Some(idx);
-        if came_from_crash {
-            self.reconcile_index()?;
-        }
         // A dirty image (crash teardown) or an actual rollback marks the
         // tenant `Recovered`; a clean eviction reopen stays `Healthy`.
         // `StoreHealth::Damaged` also lands here: the invariant check
@@ -725,7 +714,6 @@ impl Tenant {
         self.store = Some(store);
         self.set = Some(set);
         self.idx = Some(idx);
-        self.reconcile_index()?;
         self.set_state(TenantState::DegradedReadOnly);
         self.degraded_left = self.tuning.degraded_window;
         Ok(())
@@ -813,39 +801,40 @@ impl Tenant {
     }
 
     /// Transactional insert; `Ok(applied)` once committed. An applied
-    /// insert also indexes the key's [`index_word`] in the tenant's ART
-    /// (its own transaction; [`Tenant::reconcile_index`] repairs the
-    /// between-transactions crash window on recovery).
+    /// insert also indexes the key's [`index_word`] in the tenant's ART,
+    /// in the same transaction: a crash keeps both or neither. A key
+    /// already present commits nothing and costs no persistence.
     pub(crate) fn insert(&mut self, key: u64) -> Result<bool, String> {
         let store = self.store.clone().expect("open tenant");
+        let mut tx = store.begin();
         let applied = self
             .set
             .as_mut()
             .expect("open tenant")
-            .insert_tx(&store, key)?;
+            .insert_in(&mut tx, key)?;
         if applied {
-            self.idx
-                .as_mut()
-                .expect("open tenant")
-                .insert_tx(&store, &index_word(key))?;
+            let idx = self.idx.as_mut().expect("open tenant");
+            idx.insert_in(&mut tx, &index_word(key))?;
+            tx.commit();
         }
         Ok(applied)
     }
 
     /// Transactional remove; `Ok(applied)` once committed. An applied
-    /// remove also unindexes the key's [`index_word`].
+    /// remove also unindexes the key's [`index_word`] in the same
+    /// transaction.
     pub(crate) fn remove(&mut self, key: u64) -> Result<bool, String> {
         let store = self.store.clone().expect("open tenant");
+        let mut tx = store.begin();
         let applied = self
             .set
             .as_mut()
             .expect("open tenant")
-            .remove_tx(&store, key)?;
+            .remove_in(&mut tx, key)?;
         if applied {
-            self.idx
-                .as_mut()
-                .expect("open tenant")
-                .remove_tx(&store, &index_word(key))?;
+            let idx = self.idx.as_mut().expect("open tenant");
+            idx.remove_in(&mut tx, &index_word(key))?;
+            tx.commit();
         }
         Ok(applied)
     }
@@ -854,28 +843,6 @@ impl Tenant {
     /// sorted.
     pub(crate) fn prefix_scan(&self, prefix: &str) -> Result<Vec<String>, String> {
         self.idx.as_ref().expect("open tenant").prefix_scan(prefix)
-    }
-
-    /// Re-derives the suggestion index from the authoritative set after
-    /// a crash: the set and index commit in separate transactions, so a
-    /// crash between them leaves exactly one word missing or stale.
-    fn reconcile_index(&mut self) -> Result<(), String> {
-        let store = self.store.clone().expect("open tenant");
-        let keys = self.set.as_ref().expect("open tenant").keys();
-        let idx = self.idx.as_mut().expect("open tenant");
-        let want: std::collections::BTreeSet<String> =
-            keys.iter().map(|&k| index_word(k)).collect();
-        for word in idx.prefix_scan("")? {
-            if !want.contains(&word) {
-                idx.remove_tx(&store, &word)?;
-            }
-        }
-        for word in &want {
-            if !idx.contains(word) {
-                idx.insert_tx(&store, word)?;
-            }
-        }
-        Ok(())
     }
 
     /// Structure invariants of the live set and suggestion index.

@@ -23,16 +23,23 @@
 //!    flushed after the write;
 //! 3. in-place node edits (adding a child to a non-full node, trimming a
 //!    prefix during a split, bumping a leaf counter) snapshot the node
-//!    via [`pstore::Tx::add_range`] first, so a crash at any
-//!    shadow-tracked point either replays the commit or rolls the node
-//!    back byte-exact.
+//!    first, so a crash at any shadow-tracked point either replays the
+//!    commit or rolls the node back byte-exact. An insert descends
+//!    read-only to its edit point and then snapshots everything it will
+//!    edit in place (header counters, node, link slot) as one
+//!    [`pstore::Tx::add_ranges`] group.
 //!
 //! A grown node (Node4 → Node16 → Node48 → Node256) is replaced, not
 //! edited: the successor is built beside it, persisted, and published by
 //! the single parent-slot store; the predecessor block leaks until the
 //! region is reformatted (the same trade early PMDK made for aborted
 //! allocations). Header accounting (`keys`/`nodes`/`bytes`/per-kind
-//! counts) is snapshotted in one range per transaction.
+//! counts) is snapshotted in one range per operation.
+//!
+//! [`PArt::insert_in`]/[`PArt::remove_in`] run inside a caller's
+//! transaction, so the index can commit together with another structure
+//! (the region server's set); `insert_tx`/`remove_tx` wrap them in a
+//! transaction of their own.
 //!
 //! Keys are non-empty strings of at most [`MAX_KEY`] bytes with no NUL —
 //! byte 0 is the in-tree terminator branch that separates a key from its
@@ -197,7 +204,8 @@ fn key_bytes(key: &str) -> Result<&[u8]> {
 /// discipline (raw mode skips both log and flush, like `PTrie::insert`).
 trait Ctx {
     fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8>;
-    fn log(&mut self, addr: usize, len: usize) -> Result<()>;
+    /// Snapshots every `(addr, len)` range as one undo-log group.
+    fn log(&mut self, ranges: &[(usize, usize)]) -> Result<()>;
     fn persist(&self, addr: usize, len: usize);
 }
 
@@ -207,7 +215,7 @@ impl Ctx for RawCtx {
     fn alloc(&mut self, arena: &NodeArena, size: usize) -> Result<*mut u8> {
         Ok(arena.alloc(size)?.as_ptr())
     }
-    fn log(&mut self, _addr: usize, _len: usize) -> Result<()> {
+    fn log(&mut self, _ranges: &[(usize, usize)]) -> Result<()> {
         Ok(())
     }
     fn persist(&self, _addr: usize, _len: usize) {}
@@ -221,8 +229,8 @@ impl Ctx for TxCtx<'_, '_> {
     fn alloc(&mut self, _arena: &NodeArena, size: usize) -> Result<*mut u8> {
         Ok(self.tx.alloc(NODE_TYPE, size)?.as_ptr())
     }
-    fn log(&mut self, addr: usize, len: usize) -> Result<()> {
-        Ok(self.tx.add_range(addr, len)?)
+    fn log(&mut self, ranges: &[(usize, usize)]) -> Result<()> {
+        Ok(self.tx.add_ranges(ranges)?)
     }
     fn persist(&self, addr: usize, len: usize) {
         persist_range(addr, len);
@@ -525,7 +533,6 @@ impl<R: PtrRepr> PArt<R> {
     /// Shared insertion body; see the module docs for the crash steps.
     unsafe fn insert_inner<C: Ctx>(&mut self, ctx: &mut C, key: &[u8]) -> Result<u64> {
         let (counters, clen) = self.counters_span();
-        ctx.log(counters, clen)?;
         let mut parent: *mut R = std::ptr::addr_of_mut!((*self.header).root);
         let mut depth = 0usize;
         let rsize = std::mem::size_of::<R>();
@@ -533,8 +540,8 @@ impl<R: PtrRepr> PArt<R> {
             let cur = (*parent).load_at_rest() as *mut NodeHead;
             if cur.is_null() {
                 // Empty slot (only ever the root): publish a fresh leaf.
+                ctx.log(&[(counters, clen), (parent as usize, rsize)])?;
                 let leaf = self.new_leaf(ctx, key)?;
-                ctx.log(parent as usize, rsize)?;
                 (*parent).store(leaf as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -548,7 +555,7 @@ impl<R: PtrRepr> PArt<R> {
                 if lk == key {
                     // Lazy-expanded hit: bump the occurrence count.
                     let caddr = std::ptr::addr_of_mut!((*leaf).count);
-                    ctx.log(caddr as usize, 8)?;
+                    ctx.log(&[(counters, clen), (caddr as usize, 8)])?;
                     if *caddr == 0 {
                         (*self.header).keys += 1;
                     }
@@ -560,12 +567,12 @@ impl<R: PtrRepr> PArt<R> {
                 // Leaf split: a Node4 over the diverging byte, the old
                 // leaf untouched (it already stores its full key).
                 let m = lcp(&lk[depth..], &key[depth..]);
+                ctx.log(&[(counters, clen), (parent as usize, rsize)])?;
                 let split = self.new_inner(ctx, KIND_NODE4, &key[depth..depth + m])?;
                 let fresh = self.new_leaf(ctx, key)?;
                 Self::add_child_raw(split, branch_byte(&lk, depth + m), cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                ctx.log(parent as usize, rsize)?;
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -580,19 +587,22 @@ impl<R: PtrRepr> PArt<R> {
                 // Prefix split: new Node4 over the shared head; the
                 // existing node keeps its tail (trimmed in place, undo
                 // logged) and is re-linked under its diverging byte.
+                ctx.log(&[
+                    (counters, clen),
+                    (cur as usize, std::mem::size_of::<NodeHead>()),
+                    (parent as usize, rsize),
+                ])?;
                 let split = self.new_inner(ctx, KIND_NODE4, &prefix[..m])?;
                 let fresh = self.new_leaf(ctx, key)?;
                 Self::add_child_raw(split, prefix[m], cur as usize);
                 Self::add_child_raw(split, branch_byte(key, depth + m), fresh as usize);
                 ctx.persist(split as usize, node_size::<R>(KIND_NODE4));
-                ctx.log(cur as usize, std::mem::size_of::<NodeHead>())?;
                 let rest = plen - m - 1;
                 for i in 0..rest {
                     (*cur).kbytes[i] = prefix[m + 1 + i];
                 }
                 (*cur).klen = rest as u8;
                 ctx.persist(cur as usize, std::mem::size_of::<NodeHead>());
-                ctx.log(parent as usize, rsize)?;
                 (*parent).store(split as usize);
                 ctx.persist(parent as usize, rsize);
                 (*self.header).keys += 1;
@@ -607,16 +617,18 @@ impl<R: PtrRepr> PArt<R> {
                     depth += 1;
                 }
                 None => {
-                    let fresh = self.new_leaf(ctx, key)?;
                     if ((*cur).nkeys as usize) < node_capacity((*cur).kind) {
-                        ctx.log(cur as usize, node_size::<R>((*cur).kind))?;
+                        let size = node_size::<R>((*cur).kind);
+                        ctx.log(&[(counters, clen), (cur as usize, size)])?;
+                        let fresh = self.new_leaf(ctx, key)?;
                         Self::add_child_raw(cur, b, fresh as usize);
-                        ctx.persist(cur as usize, node_size::<R>((*cur).kind));
+                        ctx.persist(cur as usize, size);
                     } else {
+                        ctx.log(&[(counters, clen), (parent as usize, rsize)])?;
+                        let fresh = self.new_leaf(ctx, key)?;
                         let grown = self.grow(ctx, cur)?;
                         Self::add_child_raw(grown, b, fresh as usize);
                         ctx.persist(grown as usize, node_size::<R>((*grown).kind));
-                        ctx.log(parent as usize, rsize)?;
                         (*parent).store(grown as usize);
                         ctx.persist(parent as usize, rsize);
                     }
@@ -662,12 +674,24 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// As [`PArt::insert`], plus logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: &str) -> Result<u64> {
-        let k = key_bytes(key)?;
         let mut tx = store.begin();
-        // SAFETY: see insert_inner; the tx serializes mutation.
-        let n = unsafe { self.insert_inner(&mut TxCtx { tx: &mut tx }, k) }?;
+        let n = self.insert_in(&mut tx, key)?;
         tx.commit();
         Ok(n)
+    }
+
+    /// [`PArt::insert_tx`] inside the caller's transaction, so other
+    /// structures can commit with it. The header counters and whatever
+    /// the insertion edits in place (a node, a link slot) are one
+    /// undo-log group.
+    ///
+    /// # Errors
+    ///
+    /// As [`PArt::insert_tx`].
+    pub fn insert_in(&mut self, tx: &mut Tx<'_>, key: &str) -> Result<u64> {
+        let k = key_bytes(key)?;
+        // SAFETY: see insert_inner; the tx serializes mutation.
+        unsafe { self.insert_inner(&mut TxCtx { tx }, k) }
     }
 
     /// Transactionally removes one occurrence of `key` (decrements its
@@ -679,30 +703,42 @@ impl<R: PtrRepr> PArt<R> {
     ///
     /// Logging failures.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: &str) -> Result<bool> {
+        let mut tx = store.begin();
+        let removed = self.remove_in(&mut tx, key)?;
+        tx.commit();
+        Ok(removed)
+    }
+
+    /// [`PArt::remove_tx`] inside the caller's transaction. The leaf
+    /// counter and, when the last occurrence goes, the header counters
+    /// are one undo-log group; an absent key logs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Logging failures.
+    pub fn remove_in(&mut self, tx: &mut Tx<'_>, key: &str) -> Result<bool> {
         let Ok(k) = key_bytes(key) else {
             return Ok(false);
         };
-        let mut tx = store.begin();
         // SAFETY: read-only descent at rest; counter edits undo-logged.
         unsafe {
             let Some(leaf) = self.find_leaf_at_rest(k) else {
-                return Ok(false); // tx drops with an empty log
-            };
-            if (*leaf).count == 0 {
                 return Ok(false);
-            }
+            };
             let caddr = std::ptr::addr_of_mut!((*leaf).count);
-            tx.add_range(caddr as usize, 8)?;
+            match *caddr {
+                0 => return Ok(false),
+                1 => {
+                    let (counters, clen) = self.counters_span();
+                    tx.add_ranges(&[(caddr as usize, 8), (counters, clen)])?;
+                    (*self.header).keys -= 1;
+                    persist_range(counters, clen);
+                }
+                _ => tx.add_range(caddr as usize, 8)?,
+            }
             *caddr -= 1;
             persist_range(caddr as usize, 8);
-            if *caddr == 0 {
-                let (counters, clen) = self.counters_span();
-                tx.add_range(counters, clen)?;
-                (*self.header).keys -= 1;
-                persist_range(counters, clen);
-            }
         }
-        tx.commit();
         Ok(true)
     }
 

@@ -34,7 +34,7 @@ use crate::error::{PdsError, Result};
 use crate::list::fill_payload;
 use nvmsim::metrics::{self, Counter};
 use pi_core::{AtomicPPtr, PtrRepr, SwizzledPtr};
-use pstore::ObjectStore;
+use pstore::{ObjectStore, Tx};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -289,6 +289,19 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// Allocation or logging failures.
     pub fn insert_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
         let mut tx = store.begin();
+        let applied = self.insert_in(&mut tx, key)?;
+        tx.commit();
+        Ok(applied)
+    }
+
+    /// [`PHashSet::insert_tx`] inside the caller's transaction, so other
+    /// structures can commit with it. The slot and length snapshots are
+    /// one undo-log group; a key already present logs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Allocation or logging failures.
+    pub fn insert_in(&mut self, tx: &mut Tx<'_>, key: u64) -> Result<bool> {
         // SAFETY: slots navigated in place; the fresh node is unreachable
         // until the slot publish, which is undo-logged.
         unsafe {
@@ -300,7 +313,7 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
                     break;
                 }
                 if (*cur).key == key {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 slot = &mut (*cur).next;
             }
@@ -312,15 +325,16 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             (*node).mark = 0;
             (*node).payload = fill_payload::<P>(key);
             persist_range(node as usize, std::mem::size_of::<HsNode<R, P>>());
-            tx.add_range(slot as usize, std::mem::size_of::<R>())?;
+            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+            tx.add_ranges(&[
+                (slot as usize, std::mem::size_of::<R>()),
+                (len_addr as usize, 8),
+            ])?;
             (*slot).store(node as usize);
             persist_range(slot as usize, std::mem::size_of::<R>());
-            let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-            tx.add_range(len_addr as usize, 8)?;
             *len_addr += 1;
             persist_range(len_addr as usize, 8);
         }
-        tx.commit();
         Ok(true)
     }
 
@@ -333,6 +347,19 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
     /// Logging failures.
     pub fn remove_tx(&mut self, store: &ObjectStore, key: u64) -> Result<bool> {
         let mut tx = store.begin();
+        let applied = self.remove_in(&mut tx, key)?;
+        tx.commit();
+        Ok(applied)
+    }
+
+    /// [`PHashSet::remove_tx`] inside the caller's transaction. The slot
+    /// and length snapshots are one undo-log group; an absent key logs
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Logging failures.
+    pub fn remove_in(&mut self, tx: &mut Tx<'_>, key: u64) -> Result<bool> {
         // SAFETY: slots navigated in place; mutations undo-logged before
         // the write and flushed after it.
         unsafe {
@@ -341,18 +368,19 @@ impl<R: PtrRepr, const P: usize> PHashSet<R, P> {
             loop {
                 let cur = (*slot).load_at_rest() as *mut HsNode<R, P>;
                 if cur.is_null() {
-                    return Ok(false); // tx drops with an empty log
+                    return Ok(false);
                 }
                 if (*cur).key == key {
                     let next = (*cur).next.load_at_rest();
-                    tx.add_range(slot as usize, std::mem::size_of::<R>())?;
+                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
+                    tx.add_ranges(&[
+                        (slot as usize, std::mem::size_of::<R>()),
+                        (len_addr as usize, 8),
+                    ])?;
                     (*slot).store(next);
                     persist_range(slot as usize, std::mem::size_of::<R>());
-                    let len_addr = std::ptr::addr_of_mut!((*self.header).len);
-                    tx.add_range(len_addr as usize, 8)?;
                     *len_addr -= 1;
                     persist_range(len_addr as usize, 8);
-                    tx.commit();
                     return Ok(true);
                 }
                 slot = &mut (*cur).next;

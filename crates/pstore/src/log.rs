@@ -20,6 +20,17 @@
 //! bytes are flushed (write-ahead ordering, paid for with the emulated
 //! `clflush`/`wbarrier` latencies of [`nvmsim::latency`]).
 //!
+//! Entries are published in **groups** ([`UndoLog::append_group`]): the
+//! group's entries are written back to back and flushed, one fence makes
+//! them durable, and then `used` is advanced over the whole group, flushed
+//! and fenced. The second fence is what lets the caller store in place:
+//! `used` is durable before any byte it protects changes. A group of `k`
+//! snapshots therefore costs two fences instead of `2k`, with the same
+//! on-media format (recovery cannot tell a group from `k` single appends).
+//! A group is all or nothing: it is validated and size-checked before
+//! the first byte is written, so a [`StoreError::LogFull`] publishes
+//! nothing.
+//!
 //! Each entry carries a CRC-64 over its header words and payload, so
 //! recovery on a *corrupted* image (media bit rot, not just a crash)
 //! skips damaged snapshots — counted in [`RecoveryStats`] — instead of
@@ -125,52 +136,104 @@ impl UndoLog {
     }
 
     /// Appends an undo entry snapshotting `[addr, addr + len)` (an address
-    /// inside this log's region), following write-ahead ordering: entry
-    /// bytes are flushed before `used` is advanced and flushed.
+    /// inside this log's region): a group of one, see
+    /// [`UndoLog::append_group`].
     ///
     /// # Errors
     ///
-    /// [`StoreError::LogFull`] if the area cannot hold the entry;
-    /// [`StoreError::Nv`] if `addr` is not inside the region.
+    /// As [`UndoLog::append_group`].
     pub fn append(&self, addr: usize, len: usize) -> Result<()> {
-        let data_off = self.region.offset_of(addr).map_err(StoreError::Nv)?;
+        self.append_group(&[(addr, len)])
+    }
+
+    /// Appends one undo entry per `(addr, len)` range, published together
+    /// with write-ahead ordering: every entry is written and flushed, one
+    /// fence makes them durable, and only then is `used` advanced over the
+    /// whole group, flushed and fenced. A group of `k` entries costs two
+    /// fences, not `2k`.
+    ///
+    /// The group is all or nothing: every range is validated and the
+    /// total size checked against the capacity before any byte is
+    /// written, so a failed call leaves the log exactly as it was.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::LogFull`] if the area cannot hold the whole group;
+    /// [`StoreError::Nv`] if an address is not inside the region.
+    pub fn append_group(&self, ranges: &[(usize, usize)]) -> Result<()> {
+        self.append_group_inner(ranges, true)
+    }
+
+    /// [`UndoLog::append_group`] with the fence after the `used` publish
+    /// deliberately left out, so in-place stores that follow can reach the
+    /// media before the snapshots that cover them are part of the log. A
+    /// known-bad mutant kept to prove the crash matrix convicts it.
+    ///
+    /// # Errors
+    ///
+    /// As [`UndoLog::append_group`].
+    #[doc(hidden)]
+    pub fn append_group_mutant_skip_publish_fence(&self, ranges: &[(usize, usize)]) -> Result<()> {
+        self.append_group_inner(ranges, false)
+    }
+
+    /// [`UndoLog::append_group`], fencing the `used` publish only when
+    /// `publish_fence` (the mutant passes `false`).
+    pub(crate) fn append_group_inner(
+        &self,
+        ranges: &[(usize, usize)],
+        publish_fence: bool,
+    ) -> Result<()> {
+        if ranges.is_empty() {
+            return Ok(());
+        }
         let used = self.used();
-        let span = Self::entry_span(len as u64);
+        let mut span = 0u64;
+        for &(addr, len) in ranges {
+            self.region.offset_of(addr).map_err(StoreError::Nv)?;
+            span += Self::entry_span(len as u64);
+        }
         if LOG_HEADER_SIZE + used + span > self.capacity {
             return Err(StoreError::LogFull {
                 capacity: self.capacity,
                 requested: span,
             });
         }
-        let entry_off = self.log_off + LOG_HEADER_SIZE + used;
-        let entry = self.region.ptr_at(entry_off) as *mut u64;
-        // SAFETY: bounds checked against capacity above; source range is
-        // inside the region per offset_of.
-        unsafe {
-            entry.write(data_off);
-            entry.add(1).write(len as u64);
-            entry.add(2).write(entry_crc(
-                data_off,
-                len as u64,
-                std::slice::from_raw_parts(addr as *const u8, len),
-            ));
-            entry.add(3).write(0);
-            std::ptr::copy_nonoverlapping(
-                addr as *const u8,
-                (entry as *mut u8).add(ENTRY_HEADER_SIZE as usize),
-                len,
-            );
+        let first = self.region.ptr_at(self.log_off + LOG_HEADER_SIZE + used);
+        let mut entry = first as *mut u64;
+        for &(addr, len) in ranges {
+            let data_off = self.region.offset_of(addr).map_err(StoreError::Nv)?;
+            // SAFETY: the group's total span was checked against capacity
+            // above; each source range is inside the region per offset_of.
+            unsafe {
+                entry.write(data_off);
+                entry.add(1).write(len as u64);
+                entry.add(2).write(entry_crc(
+                    data_off,
+                    len as u64,
+                    std::slice::from_raw_parts(addr as *const u8, len),
+                ));
+                entry.add(3).write(0);
+                std::ptr::copy_nonoverlapping(
+                    addr as *const u8,
+                    (entry as *mut u8).add(ENTRY_HEADER_SIZE as usize),
+                    len,
+                );
+                entry = (entry as *mut u8).add(Self::entry_span(len as u64) as usize) as *mut u64;
+            }
         }
-        // Write-ahead: flush the entry, barrier, then publish via `used`.
-        shadow::track_store(entry as usize, span as usize);
-        latency::clflush_range(entry as usize, span as usize);
+        // Write-ahead: flush the entries, barrier, then publish via `used`.
+        shadow::track_store(first, span as usize);
+        latency::clflush_range(first, span as usize);
         latency::wbarrier();
         // SAFETY: used word is inside the mapped region.
         unsafe { self.used_ptr().write(used + span) };
         shadow::track_store(self.used_ptr() as usize, 8);
         latency::clflush_range(self.used_ptr() as usize, 8);
-        latency::wbarrier();
-        nvmsim::metrics::incr(nvmsim::metrics::Counter::UndoEntries);
+        if publish_fence {
+            latency::wbarrier();
+        }
+        nvmsim::metrics::add(nvmsim::metrics::Counter::UndoEntries, ranges.len() as u64);
         Ok(())
     }
 
@@ -361,6 +424,57 @@ mod tests {
         log.append(data as usize, 16).unwrap();
         let err = log.append(data as usize, 16).unwrap_err();
         assert!(matches!(err, StoreError::LogFull { .. }));
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn grouped_append_rolls_back_every_range() {
+        let (region, log, data) = setup();
+        let data2 = region.alloc(64, 8).unwrap().as_ptr() as *mut u64;
+        unsafe {
+            data.write(1);
+            data.add(3).write(2);
+            data2.write(3);
+            log.append_group(&[
+                (data as usize, 8),
+                (data.add(3) as usize, 8),
+                (data2 as usize, 8),
+            ])
+            .unwrap();
+            assert_eq!(log.entry_count(), 3);
+            assert_eq!(log.used(), 3 * (32 + 16));
+            data.write(91);
+            data.add(3).write(92);
+            data2.write(93);
+            let stats = log.rollback();
+            assert_eq!(stats.applied, 3);
+            assert_eq!(
+                (data.read(), data.add(3).read(), data2.read()),
+                (1, 2, 3),
+                "every range of the group restored"
+            );
+        }
+        assert!(!log.is_dirty());
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn log_full_partway_through_a_group_publishes_nothing() {
+        let region = Region::create(1 << 20).unwrap();
+        let log_off = region.alloc_off(128, 16).unwrap();
+        let data = region.alloc(64, 8).unwrap().as_ptr() as usize;
+        let log = UndoLog::new(region.clone(), log_off, 128);
+        log.format();
+        // Room for two 16-byte entries (48 bytes each) but not three.
+        let err = log
+            .append_group(&[(data, 16), (data + 16, 16), (data + 32, 16)])
+            .unwrap_err();
+        assert!(matches!(err, StoreError::LogFull { .. }));
+        assert_eq!(log.used(), 0, "a failed group publishes nothing");
+        assert_eq!(log.entry_count(), 0);
+        // A group that fits still goes in whole.
+        log.append_group(&[(data, 16), (data + 16, 16)]).unwrap();
+        assert_eq!(log.entry_count(), 2);
         region.close().unwrap();
     }
 

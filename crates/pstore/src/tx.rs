@@ -6,8 +6,22 @@
 //! uncommitted transaction aborts it, restoring every snapshotted range —
 //! and a crash mid-transaction is handled identically by recovery at the
 //! next [`crate::ObjectStore::attach`].
+//!
+//! Snapshots taken together should be taken as one group
+//! ([`Tx::add_ranges`], published by [`crate::UndoLog::append_group`]):
+//! a group costs two fences however many ranges it holds. The
+//! transaction remembers what it has logged and skips any range an
+//! earlier snapshot already covers, since that snapshot holds the
+//! pre-transaction bytes; so several structures can share one
+//! transaction (the region server commits a set op and its index op
+//! together) without logging the object-list words twice.
+//! [`Tx::alloc`] logs the list-head words and the old head's back-link as
+//! one group, and skips the back-link when the old head is an object this
+//! transaction allocated. A transaction that logged nothing costs nothing
+//! to drop: no flush, no fence (it still counts as an abort).
 
-use crate::error::Result;
+use crate::error::{Result, StoreError};
+use crate::object::{header_off, ObjHeader};
 use crate::store::ObjectStore;
 use nvmsim::latency;
 use nvmsim::shadow;
@@ -22,6 +36,11 @@ pub struct Tx<'s> {
     store: &'s ObjectStore,
     _guard: MutexGuard<'s, ()>,
     committed: bool,
+    /// Every range snapshotted so far; a range inside one of them is
+    /// already covered by its pre-transaction bytes.
+    logged: Vec<(usize, usize)>,
+    /// Header offset of the object this transaction allocated last.
+    last_alloc: Option<u64>,
 }
 
 impl<'s> Tx<'s> {
@@ -30,18 +49,68 @@ impl<'s> Tx<'s> {
             store,
             _guard: guard,
             committed: false,
+            logged: Vec::new(),
+            last_alloc: None,
         }
     }
 
     /// Snapshots `[addr, addr + len)` into the undo log so the range may
     /// be freely mutated until commit. Must be called *before* the first
-    /// mutation of the range within this transaction.
+    /// mutation of the range within this transaction. A group of one; see
+    /// [`Tx::add_ranges`].
     ///
     /// # Errors
     ///
     /// [`crate::StoreError::LogFull`] or address-range errors.
     pub fn add_range(&mut self, addr: usize, len: usize) -> Result<()> {
-        self.store.log_ref().append(addr, len)
+        self.add_ranges(&[(addr, len)])
+    }
+
+    /// Snapshots every `(addr, len)` range as one undo-log group
+    /// ([`crate::UndoLog::append_group`]): two fences however many ranges. A
+    /// range that an earlier snapshot of this transaction already covers
+    /// is skipped, since that snapshot holds the pre-transaction bytes.
+    /// Must be called *before* the first mutation of any of the ranges.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tx::add_range`]; on error nothing of the group is logged.
+    pub fn add_ranges(&mut self, ranges: &[(usize, usize)]) -> Result<()> {
+        self.add_ranges_with(ranges, true)
+    }
+
+    /// [`Tx::add_ranges`] through
+    /// [`crate::UndoLog::append_group_mutant_skip_publish_fence`]: a known-bad
+    /// mutant kept to prove the crash matrix convicts it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Tx::add_ranges`].
+    #[doc(hidden)]
+    pub fn add_ranges_mutant_skip_publish_fence(
+        &mut self,
+        ranges: &[(usize, usize)],
+    ) -> Result<()> {
+        self.add_ranges_with(ranges, false)
+    }
+
+    fn add_ranges_with(&mut self, ranges: &[(usize, usize)], publish_fence: bool) -> Result<()> {
+        let mut group: Vec<(usize, usize)> = Vec::with_capacity(ranges.len());
+        for &(a, len) in ranges {
+            let covered = self
+                .logged
+                .iter()
+                .chain(&group)
+                .any(|&(b, blen)| b <= a && a + len <= b + blen);
+            if !covered {
+                group.push((a, len));
+            }
+        }
+        self.store
+            .log_ref()
+            .append_group_inner(&group, publish_fence)?;
+        self.logged.extend_from_slice(&group);
+        Ok(())
     }
 
     /// Transactionally stores `value` at `ptr`: snapshots the old bytes,
@@ -75,20 +144,28 @@ impl<'s> Tx<'s> {
     ///
     /// Logging or allocation failures.
     pub fn alloc(&mut self, type_num: u32, size: usize) -> Result<std::ptr::NonNull<u8>> {
-        use crate::object::ObjHeader;
-        let region = self.store.region().clone();
-        let meta_off = self.store.meta_off();
-        // Snapshot the two meta words the link-in mutates (obj_head at
-        // +8, obj_count at +16)...
-        self.add_range(region.ptr_at(meta_off + 8), 16)?;
-        // ...and the current head's back-link, which will point at the
-        // new object.
+        let store = self.store;
+        let region = store.region();
+        // The link-in mutates the two meta words (obj_head at +8,
+        // obj_count at +16) and the current head's back-link, which will
+        // point at the new object: one group. A head this transaction
+        // allocated needs no snapshot, since restoring the head words
+        // unlinks it anyway.
+        let head_words = region.ptr_at(store.meta_off() + 8);
         // SAFETY: meta is mapped; obj_head is a valid header offset or 0.
-        let old_head = unsafe { *(region.ptr_at(meta_off + 8) as *const u64) };
-        if old_head != 0 {
-            self.add_range(region.ptr_at(old_head + ObjHeader::PREV_FIELD_OFFSET), 8)?;
+        let old_head = unsafe { *(head_words as *const u64) };
+        if old_head != 0 && self.last_alloc != Some(old_head) {
+            let back_link = region.ptr_at(old_head + ObjHeader::PREV_FIELD_OFFSET);
+            self.add_ranges(&[(head_words, 16), (back_link, 8)])?;
+        } else {
+            self.add_range(head_words, 16)?;
         }
-        self.store.alloc(type_num, size)
+        let payload = store.alloc(type_num, size)?;
+        let pay_off = region
+            .offset_of(payload.as_ptr() as usize)
+            .map_err(StoreError::Nv)?;
+        self.last_alloc = Some(header_off(pay_off));
+        Ok(payload)
     }
 
     /// Commits: all mutations since `begin` become permanent and the undo
@@ -114,7 +191,12 @@ impl Drop for Tx<'_> {
     fn drop(&mut self) {
         if !self.committed {
             nvmsim::metrics::incr(nvmsim::metrics::Counter::TxAborts);
-            self.store.log_ref().rollback();
+            // A transaction that logged nothing has nothing to undo: it
+            // leaves the log untouched, with no flush and no fence.
+            let log = self.store.log_ref();
+            if log.is_dirty() {
+                log.rollback();
+            }
         }
     }
 }
@@ -190,6 +272,50 @@ mod tests {
                 assert_eq!(*buf.add(i), 0xAA);
             }
         }
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn relogged_subrange_restores_pre_transaction_bytes() {
+        let (region, store, _) = setup();
+        let buf = store.alloc(2, 32).unwrap().as_ptr() as *mut u64;
+        unsafe {
+            for i in 0..4 {
+                buf.add(i).write(10 + i as u64);
+            }
+            let mut tx = store.begin();
+            tx.add_ranges(&[(buf as usize, 32)]).unwrap();
+            buf.add(1).write(111);
+            // Re-logging a mutated sub-range must not make 111 the
+            // restored value: the first snapshot covers it.
+            tx.add_range(buf.add(1) as usize, 8).unwrap();
+            assert_eq!(store.log().entry_count(), 1, "covered range skipped");
+            buf.add(1).write(222);
+            drop(tx);
+            for i in 0..4 {
+                assert_eq!(buf.add(i).read(), 10 + i as u64, "word {i}");
+            }
+        }
+        region.close().unwrap();
+    }
+
+    #[test]
+    fn empty_drop_leaves_the_log_untouched() {
+        let (region, store, obj) = setup();
+        {
+            let tx = store.begin();
+            drop(tx);
+        }
+        assert_eq!(store.log().used(), 0);
+        // The next transaction still works normally.
+        unsafe {
+            obj.write(1);
+            let mut tx = store.begin();
+            tx.set(obj, 2).unwrap();
+            tx.abort();
+            assert_eq!(obj.read(), 1);
+        }
+        assert_eq!(store.log().used(), 0);
         region.close().unwrap();
     }
 

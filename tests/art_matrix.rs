@@ -15,12 +15,18 @@
 //! add, Node4 -> Node16 grow-and-republish, occurrence-count bump, inner
 //! prefix trim (split of a compressed path), and removal.
 //!
+//! The merged-write cells run the server's write shape instead: one
+//! [`PHashSet`] op and one [`PArt`] op in a single transaction (the key
+//! and its `index_word`), so every recovered image must hold the key in
+//! both structures or in neither.
+//!
 //! The tear seed comes from `ART_MATRIX_SEED` (decimal or 0x-hex). Set
 //! `ART_MATRIX_ARTIFACT_DIR` to keep crash images for CI upload.
 
 use nvm_pi::nvmsim::{dlin, shadow};
+use nvm_pi::nvserver::index_word;
 use nvm_pi::pstore::ObjectStore;
-use nvm_pi::{FaultPlan, FaultPolicy, NodeArena, OffHolder, PArt, PtrRepr, Region, Riv};
+use nvm_pi::{FaultPlan, FaultPolicy, NodeArena, OffHolder, PArt, PHashSet, PtrRepr, Region, Riv};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -391,5 +397,198 @@ fn art_matrix_node48_growth_edge() {
     }
     if !keep {
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The merged write: insert (or remove) `key` in the set and its
+/// `index_word` in the index, in one transaction committed only when the
+/// set op applied. Returns whether it applied.
+fn merged_write<R: PtrRepr>(
+    store: &ObjectStore,
+    set: &mut PHashSet<R, 32>,
+    idx: &mut PArt<R>,
+    op: ArtOp,
+    key: u64,
+) -> bool {
+    let mut tx = store.begin();
+    let applied = match op {
+        ArtOp::Insert => set.insert_in(&mut tx, key).unwrap(),
+        ArtOp::Remove => set.remove_in(&mut tx, key).unwrap(),
+    };
+    if applied {
+        match op {
+            ArtOp::Insert => assert_eq!(idx.insert_in(&mut tx, &index_word(key)).unwrap(), 1),
+            ArtOp::Remove => assert!(idx.remove_in(&mut tx, &index_word(key)).unwrap()),
+        }
+        tx.commit();
+    }
+    applied
+}
+
+/// Keys present after the first `prefix` merged writes.
+fn merged_model(ops: &[(ArtOp, u64)], prefix: usize) -> Vec<u64> {
+    let mut keys = BTreeSet::new();
+    for &(op, key) in &ops[..prefix] {
+        match op {
+            ArtOp::Insert => keys.insert(key),
+            ArtOp::Remove => keys.remove(&key),
+        };
+    }
+    keys.into_iter().collect()
+}
+
+/// Checks both structures and their agreement, returning the set's keys
+/// (sorted): each key must be in the set and the index, or in neither.
+fn merged_contents<R: PtrRepr>(
+    set: &PHashSet<R, 32>,
+    idx: &PArt<R>,
+    universe: &[u64],
+    ctx: &str,
+) -> Vec<u64> {
+    set.check_invariants()
+        .unwrap_or_else(|e| panic!("[{ctx}] set invariants: {e}"));
+    idx.check_invariants()
+        .unwrap_or_else(|e| panic!("[{ctx}] index invariants: {e}"));
+    for &k in universe {
+        assert_eq!(
+            set.contains(k),
+            idx.contains(&index_word(k)),
+            "[{ctx}] key {k} is in only one of the set and the index"
+        );
+    }
+    let mut keys = set.keys();
+    keys.sort_unstable();
+    let mut words: Vec<String> = keys.iter().map(|&k| index_word(k)).collect();
+    words.sort_unstable();
+    assert_eq!(
+        idx.prefix_scan("").unwrap(),
+        words,
+        "[{ctx}] index words vs set keys"
+    );
+    keys
+}
+
+/// Merged set + index workload: the index words share a 13-letter
+/// prefix, so the inserts cross a root-leaf publish, a leaf split, two
+/// in-place child adds and the Node4 -> Node16 grow; the removes drop a
+/// key from both structures.
+const MERGED_OPS: &[(ArtOp, u64)] = &[
+    (ArtOp::Insert, 0),
+    (ArtOp::Insert, 1),
+    (ArtOp::Insert, 2),
+    (ArtOp::Insert, 3),
+    (ArtOp::Insert, 4),
+    (ArtOp::Remove, 0),
+    (ArtOp::Remove, 3),
+];
+
+/// Enumerates every crash point of every merged write (see
+/// [`merged_write`]); recovery must land on a committed prefix with the
+/// set and the index in agreement.
+fn run_merged_cell<R: PtrRepr>(label: &str, policy: FaultPolicy) {
+    let ops = MERGED_OPS;
+    let universe: Vec<u64> = ops.iter().map(|&(_, k)| k).collect();
+    let (dir, keep) = tdir(label);
+    let orig = dir.join("orig.nvr");
+    nvm_pi::NvSpace::global().reseed_placement(seed());
+    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
+    let store = ObjectStore::format_with_log(&region, LOG_CAP).unwrap();
+    let mut set: PHashSet<R, 32> =
+        PHashSet::create_rooted(NodeArena::transactional(store.clone()), 16, "set").unwrap();
+    let mut idx: PArt<R> =
+        PArt::create_rooted(NodeArena::transactional(store.clone()), "idx").unwrap();
+    region.sync().unwrap();
+    region.enable_shadow().unwrap();
+    shadow::reset_events_for(region.base());
+    let plan = FaultPlan::capture_all(&region, policy);
+    let mut commit_events = Vec::with_capacity(ops.len());
+    for &(op, key) in ops {
+        assert!(merged_write(&store, &mut set, &mut idx, op, key));
+        commit_events.push(shadow::event_count_for(region.base()));
+    }
+    let crashes = plan.disarm();
+    let tag = util::seed_tag("ART_MATRIX_SEED", seed());
+    let live_ctx = format!("{label} {policy:?} {tag} live");
+    assert_eq!(
+        merged_contents(&set, &idx, &universe, &live_ctx),
+        merged_model(ops, ops.len()),
+        "[{live_ctx}] final uncrashed contents"
+    );
+    drop(set);
+    drop(idx);
+    drop(store);
+    region.crash();
+    assert!(
+        commit_events.windows(2).all(|w| w[0] < w[1]),
+        "[{label} {policy:?} {tag}] commit events must be strictly increasing: {commit_events:?}"
+    );
+    assert!(
+        crashes.len() >= 20,
+        "[{label} {policy:?} {tag}] expected >= 20 crash points, got {}",
+        crashes.len()
+    );
+
+    let img = dir.join("crash.nvr");
+    let mut prefixes: BTreeSet<usize> = BTreeSet::new();
+    for c in &crashes {
+        let ctx = format!("{label} {policy:?} {tag} event {}", c.event);
+        std::fs::write(&img, &c.image).unwrap();
+        let r2 = Region::open_file(&img).unwrap();
+        assert!(r2.was_dirty(), "[{ctx}] crash image must reopen dirty");
+        let store2 = ObjectStore::attach(&r2).unwrap();
+        let set2: PHashSet<R, 32> =
+            PHashSet::attach(NodeArena::transactional(store2.clone()), "set").unwrap();
+        let idx2: PArt<R> = PArt::attach(NodeArena::transactional(store2.clone()), "idx").unwrap();
+        let committed = commit_events.iter().filter(|&&e| e < c.event).count();
+        let got = merged_contents(&set2, &idx2, &universe, &ctx);
+        let p = (committed..=ops.len())
+            .find(|&p| merged_model(ops, p) == got)
+            .unwrap_or_else(|| {
+                panic!(
+                    "[{ctx}] recovered keys {got:?} are not a committed-prefix state at or \
+                     after prefix {committed} (commit events {commit_events:?})"
+                )
+            });
+        if matches!(policy, FaultPolicy::DropUnflushed) {
+            assert_eq!(
+                p, committed,
+                "[{ctx}] without tearing, recovery must land exactly on the conservative prefix"
+            );
+        }
+        prefixes.insert(p);
+        drop(set2);
+        drop(idx2);
+        drop(store2);
+        r2.crash();
+    }
+    if matches!(policy, FaultPolicy::DropUnflushed) {
+        assert_eq!(
+            prefixes,
+            (0..ops.len()).collect::<BTreeSet<usize>>(),
+            "[{label} {policy:?} {tag}] all committed prefixes must appear among recovered states"
+        );
+    }
+    eprintln!(
+        "[{label} {policy:?}] enumerated {} crash points, prefixes {prefixes:?}",
+        crashes.len()
+    );
+    if !keep {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn art_matrix_merged_write_offholder() {
+    let _g = lock();
+    for policy in policies() {
+        run_merged_cell::<OffHolder>("art-merged-off", policy);
+    }
+}
+
+#[test]
+fn art_matrix_merged_write_riv() {
+    let _g = lock();
+    for policy in policies() {
+        run_merged_cell::<Riv>("art-merged-riv", policy);
     }
 }

@@ -10,7 +10,8 @@
 //! event `n` iff its commit fence is an event `< n`. Both fault policies
 //! (drop-unflushed and word-granularity tearing) are exercised, plus
 //! undo- vs redo-log parity over a raw-cell workload, abort-mode crash
-//! points, flush-omission detection, and re-interrupted recovery.
+//! points, flush-omission detection, conviction of a grouped undo append
+//! that skips its publish fence, and re-interrupted recovery.
 //!
 //! The shadow tracker and its event counter are process-global, so every
 //! test in this binary serializes on `SERIAL`. The tear seed comes from
@@ -599,6 +600,131 @@ fn flush_omission_is_caught_as_durability_violation() {
     drop(store2);
     r2.crash();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+const GROUP_WORDS: usize = 4;
+const GROUP_TXS: u64 = 3;
+
+/// Runs `GROUP_TXS` transactions that each snapshot four words (on four
+/// cache lines) as one undo-log group — through the skip-publish-fence
+/// mutant when `mutant` — store the transaction's number into all four,
+/// and commit. Every crash image is recovered and checked; returns how
+/// many recovered to a state the write-ahead rule forbids.
+///
+/// Until the in-flight transaction writes its commit record (the `used`
+/// truncation), recovery must restore exactly the committed prefix: all
+/// four words equal the number of committed transactions. Once the
+/// record is written, tearing may leak it ahead of its fence, so the next
+/// prefix is allowed too. Anything else (a mix, or an early next prefix)
+/// means in-place stores reached the media without their snapshots.
+fn grouped_append_violations(label: &str, policy: FaultPolicy, mutant: bool) -> usize {
+    let dir = tdir(label);
+    let orig = dir.join("orig.nvr");
+    nvm_pi::NvSpace::global().reseed_placement(seed());
+    let region = Region::create_file(&orig, REGION_SIZE).unwrap();
+    let store = ObjectStore::format_with_log(&region, LOG_CAP).unwrap();
+    let obj = store.alloc(11, 64 * GROUP_WORDS).unwrap().as_ptr() as usize;
+    let words: Vec<usize> = (0..GROUP_WORDS).map(|i| obj + 64 * i).collect();
+    for &w in &words {
+        // SAFETY: each word lies inside the fresh object.
+        unsafe { (w as *mut u64).write(0) };
+    }
+    region.sync().unwrap();
+    region.enable_shadow().unwrap();
+    shadow::reset_events_for(region.base());
+    let plan = FaultPlan::capture_all(&region, policy);
+    let ranges: Vec<(usize, usize)> = words.iter().map(|&w| (w, 8)).collect();
+    // (events before the commit, events after it) per transaction.
+    let mut bounds = Vec::new();
+    for v in 1..=GROUP_TXS {
+        let mut tx = store.begin();
+        if mutant {
+            tx.add_ranges_mutant_skip_publish_fence(&ranges).unwrap();
+        } else {
+            tx.add_ranges(&ranges).unwrap();
+        }
+        for &w in &words {
+            // SAFETY: snapshotted above; inside the object.
+            unsafe { (w as *mut u64).write(v) };
+            shadow::track_store(w, 8);
+            latency::clflush_range(w, 8);
+        }
+        let pre = shadow::event_count_for(region.base());
+        tx.commit();
+        bounds.push((pre, shadow::event_count_for(region.base())));
+    }
+    let crashes = plan.disarm();
+    drop(store);
+    region.crash();
+    assert!(!crashes.is_empty(), "[{label}] no crash points captured");
+
+    let img = dir.join("crash.nvr");
+    let mut violations = 0;
+    for c in &crashes {
+        std::fs::write(&img, &c.image).unwrap();
+        let r2 = Region::open_file(&img).unwrap();
+        let store2 = ObjectStore::attach(&r2).unwrap();
+        let obj2 = store2.objects_of_type(11)[0].as_ptr() as usize;
+        // SAFETY: the recovered object has the same layout.
+        let got: Vec<u64> = (0..GROUP_WORDS)
+            .map(|i| unsafe { *((obj2 + 64 * i) as *const u64) })
+            .collect();
+        let committed = bounds.iter().filter(|&&(_, end)| end < c.event).count();
+        // The commit's own fence is event `pre + 1`; the record is
+        // written after it.
+        let record_written = bounds
+            .get(committed)
+            .is_some_and(|&(pre, _)| c.event > pre + 1);
+        let prefix = committed as u64;
+        let ok = got.iter().all(|&w| w == prefix)
+            || (record_written && got.iter().all(|&w| w == prefix + 1));
+        if !ok {
+            eprintln!(
+                "[{label} {policy:?} event {}] recovered words {got:?} after {committed} commits",
+                c.event
+            );
+            violations += 1;
+        }
+        drop(store2);
+        r2.crash();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    violations
+}
+
+/// A grouped undo append that publishes `used` without fencing it lets
+/// the in-place stores that follow persist while `used` does not, so a
+/// torn image keeps new bytes with no snapshot to undo them. Drop-only
+/// crashes cannot tell (the next fence persists both together), so the
+/// enumeration sweeps several tear seeds: the mutant must be convicted on
+/// at least one image, and the correct append, run beside it on the same
+/// seeds, on none.
+#[test]
+fn grouped_append_without_publish_fence_is_convicted() {
+    let _g = lock();
+    let tag = util::seed_tag("CRASH_MATRIX_SEED", seed());
+    assert_eq!(
+        grouped_append_violations("group-control-drop", FaultPolicy::DropUnflushed, false),
+        0,
+        "[{tag}] the correct grouped append must recover cleanly"
+    );
+    let mut tear_seed = seed();
+    let mut convicted = 0;
+    for _ in 0..12 {
+        tear_seed = util::splitmix64(tear_seed);
+        let policy = FaultPolicy::TearWords { seed: tear_seed };
+        assert_eq!(
+            grouped_append_violations("group-control", policy, false),
+            0,
+            "[{tag} {policy:?}] the correct grouped append must recover cleanly"
+        );
+        convicted += grouped_append_violations("group-mutant", policy, true);
+    }
+    assert!(
+        convicted > 0,
+        "[{tag}] the skip-publish-fence mutant must be convicted by the enumeration"
+    );
+    eprintln!("grouped-append mutant convicted on {convicted} crash images");
 }
 
 #[test]

@@ -16,6 +16,10 @@
 //!    `invariant_failures` stays 0 and every reopen lands at a
 //!    different base than the mapping before it (position independence
 //!    under fire).
+//! 4. **The index never drifts from the set** — a write commits the set
+//!    and its suggestion index in one transaction, so after a crash or
+//!    failover the index words read offline are exactly `index_word` of
+//!    the tenant's final keys.
 //!
 //! The shadow tracker and replication registry are process-global, so
 //! every test serializes on `SERIAL`. The workload seed comes from
@@ -27,8 +31,8 @@ use nvm_pi::nvmsim::dlin;
 use nvm_pi::nvserver::{index_word, BatchOp, Status, TenantState};
 use nvm_pi::pstore::ObjectStore;
 use nvm_pi::{
-    History, NodeArena, OpRecord, PHashSet, Priority, Region, ReprKind, Riv, Server, ServerConfig,
-    ServerFaultPlan, ServerReport, SetOp, TenantSpec,
+    FatPtrCached, History, NodeArena, OffHolder, OpRecord, PArt, PHashSet, Priority, PtrRepr,
+    Region, ReprKind, Riv, Server, ServerConfig, ServerFaultPlan, ServerReport, SetOp, TenantSpec,
 };
 use nvmsim::shadow::FaultPolicy;
 use std::path::PathBuf;
@@ -112,6 +116,40 @@ fn check_tenant_history(label: &str, ops: Vec<OpRecord>, recovered: &[u64]) {
         tag(),
         report.violations
     );
+}
+
+/// The words of a tenant's suggestion index, read from its image.
+fn index_words<R: PtrRepr>(arena: NodeArena, ctx: &str) -> Vec<String> {
+    let idx: PArt<R> = PArt::attach(arena, "srv.idx").unwrap();
+    idx.check_invariants()
+        .unwrap_or_else(|e| panic!("[{ctx}] index invariants: {e}"));
+    idx.prefix_scan("").unwrap()
+}
+
+/// Offline audit of a shut-down tenant's image: its suggestion index
+/// holds exactly `index_word` of the tenant's final keys.
+fn assert_index_matches_keys(
+    label: &str,
+    dir: &std::path::Path,
+    report: &ServerReport,
+    tenant: u32,
+    repr: ReprKind,
+) {
+    let tr = report.tenant(tenant).unwrap();
+    let ctx = format!("{label} {} tenant {tenant}", tag());
+    let region = Region::open_file(dir.join(format!("tenant-{tenant}.nvr"))).unwrap();
+    let store = ObjectStore::attach(&region).unwrap();
+    let arena = NodeArena::transactional(store.clone());
+    let got = match repr {
+        ReprKind::OffHolder => index_words::<OffHolder>(arena, &ctx),
+        ReprKind::Riv => index_words::<Riv>(arena, &ctx),
+        ReprKind::FatCached => index_words::<FatPtrCached>(arena, &ctx),
+    };
+    let mut want: Vec<String> = tr.keys.iter().map(|&k| index_word(k)).collect();
+    want.sort_unstable();
+    assert_eq!(got, want, "[{ctx}] index words vs final keys");
+    drop(store);
+    region.close().unwrap();
 }
 
 fn assert_consecutive_bases_differ(label: &str, report: &ServerReport, tenant: u32) {
@@ -453,6 +491,7 @@ fn acked_commits_survive_crash_and_remapped_reopen() {
     drop(set);
     drop(store);
     region.close().unwrap();
+    assert_index_matches_keys("crash-reopen", &dir, &report, 0, ReprKind::Riv);
     cleanup(dir, keep);
 }
 
@@ -520,6 +559,7 @@ fn failover_promotes_replica_and_walks_the_ladder() {
     assert!(tr.bases.len() >= 2, "promotion remapped: {:?}", tr.bases);
     assert_consecutive_bases_differ("failover", &report, 0);
     check_tenant_history("failover", history, &tr.keys);
+    assert_index_matches_keys("failover", &dir, &report, 0, ReprKind::OffHolder);
     cleanup(dir, keep);
 }
 
@@ -872,6 +912,13 @@ fn chaos_round(label: &str, s: u64) {
             "[{label}] tenant {tenant} remapped: {:?}",
             tr.bases
         );
+    }
+    for (tenant, repr) in [
+        (2u32, ReprKind::FatCached),
+        (5, ReprKind::FatCached),
+        (3, ReprKind::OffHolder),
+    ] {
+        assert_index_matches_keys(label, &dir, &report, tenant, repr);
     }
     let t3 = report.tenant(3).unwrap();
     assert_eq!(t3.snapshot.failovers, 1, "[{label}] {:?}", t3.snapshot);
