@@ -43,10 +43,13 @@
 //! descriptor it CASes without contention); exhaustion is handled by
 //! reserving another subtree (`owner` CAS), stealing a crowded one, or
 //! growing a new subtree under the region lock (rare, amortized over 64
-//! blocks). The reservation *replaces* the magazine cache on this path:
-//! since blocks are only marked allocated when actually handed to the
-//! application, a crash leaks **zero** blocks — the magazines' bounded
-//! `threads x 64` crash leak disappears.
+//! blocks). Since blocks are only marked allocated when actually handed
+//! to the application, a crash leaks **zero** blocks.
+//!
+//! A thread keeps one reservation slot per region session it allocates
+//! in, and drops a slot only once that session's state is gone (its last
+//! region handle dropped), so a thread cycling over many live regions
+//! never loses (and then has to steal back) its reservations.
 //!
 //! # Recovery
 //!
@@ -63,7 +66,8 @@ use crate::latency;
 use crate::metrics::{self, Counter};
 use crate::shadow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 /// Magic number identifying a bitmap page ("NVPILLP1").
 pub const LL_PAGE_MAGIC: u64 = u64::from_le_bytes(*b"NVPILLP1");
@@ -78,9 +82,6 @@ pub const BLOCKS_PER_SUBTREE: usize = 64;
 pub const GRANULE: u64 = 1024;
 
 pub(crate) const DESC_SIZE: usize = 64;
-/// Reservation slots a thread keeps across regions before evicting the
-/// oldest (losing a reservation is harmless — it is re-discovered).
-const TLS_REGIONS: usize = 8;
 
 // Page-header field offsets.
 pub(crate) const PAGE_MAGIC: usize = 0;
@@ -104,44 +105,39 @@ pub(crate) const D_BITMAP: usize = 16;
 pub(crate) const D_FREE: usize = 24;
 pub(crate) const D_OWNER: usize = 32;
 
-#[derive(Clone, Copy)]
 struct TlsSlot {
-    instance: u64,
+    /// The session handle of the [`LlState`] this slot belongs to. It
+    /// both identifies the slot (by address, unique while any `Weak`
+    /// to it lives) and tells when the session has closed.
+    session: Weak<()>,
     /// Reserved subtree per class, stored as id+1 (0 = none).
     ids: [u32; NUM_CLASSES],
     /// The owner token we wrote when reserving, for a clean release.
     tokens: [u64; NUM_CLASSES],
 }
 
-impl TlsSlot {
-    fn new(instance: u64) -> TlsSlot {
-        TlsSlot {
-            instance,
-            ids: [0; NUM_CLASSES],
-            tokens: [0; NUM_CLASSES],
-        }
-    }
-}
-
 thread_local! {
     static RESERVED: RefCell<Vec<TlsSlot>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Runs `f` on this thread's reservation slot for region `instance`.
+/// Runs `f` on this thread's reservation slot for `session`, creating
+/// it on first touch (and dropping the slots of closed sessions then).
 /// `None` when thread-local storage is unusable (thread teardown).
-fn with_slot<R>(instance: u64, f: impl FnOnce(&mut TlsSlot) -> R) -> Option<R> {
+fn with_slot<R>(session: &Arc<()>, f: impl FnOnce(&mut TlsSlot) -> R) -> Option<R> {
     RESERVED
         .try_with(|r| {
             let mut r = r.borrow_mut();
-            if let Some(i) = r.iter().position(|s| s.instance == instance) {
-                return f(&mut r[i]);
+            let key = Arc::as_ptr(session);
+            if let Some(s) = r.iter_mut().find(|s| s.session.as_ptr() == key) {
+                return f(s);
             }
-            if r.len() >= TLS_REGIONS {
-                r.remove(0);
-            }
-            r.push(TlsSlot::new(instance));
-            let last = r.len() - 1;
-            f(&mut r[last])
+            r.retain(|s| s.session.strong_count() > 0);
+            r.push(TlsSlot {
+                session: Arc::downgrade(session),
+                ids: [0; NUM_CLASSES],
+                tokens: [0; NUM_CLASSES],
+            });
+            f(r.last_mut().expect("just pushed"))
         })
         .ok()
 }
@@ -246,7 +242,8 @@ pub struct ClassOccupancy {
 /// persistent truth is only the bitmap pages.
 pub(crate) struct LlState {
     base: usize,
-    instance: u64,
+    /// Liveness handle the threads' reservation slots point at weakly.
+    session: Arc<()>,
     /// End offset of the allocatable area (from the region header).
     end: u64,
     /// Offsets of bitmap pages in chain order (published, never mutated).
@@ -259,14 +256,6 @@ pub(crate) struct LlState {
     next_token: AtomicU64,
     /// Set when growth must stop (region closing); reads/frees continue.
     frozen: AtomicBool,
-    /// Blocks (and their bytes) currently delegated to magazine caches:
-    /// carved via [`LlState::carve_batch`] but not yet restored. Their
-    /// bits are set, yet the caches' statistics shards account for them,
-    /// so [`LlState::stat_live`] subtracts this balance to keep the
-    /// region aggregate exact. Signed: mode switches can strand the
-    /// balance on either side (see `Region::dealloc` routing).
-    delegated: AtomicI64,
-    delegated_bytes: AtomicI64,
 }
 
 impl std::fmt::Debug for LlState {
@@ -300,7 +289,7 @@ fn my_shard() -> usize {
 }
 
 impl LlState {
-    fn new_empty(base: usize, size: usize, instance: u64, end: u64) -> LlState {
+    fn new_empty(base: usize, size: usize, end: u64) -> LlState {
         let max_subtrees = (size as u64 / GRANULE) as usize + 1;
         let max_pages = max_subtrees / SUBTREES_PER_PAGE + 2;
         let granules = (0..size.div_ceil(GRANULE as usize))
@@ -317,7 +306,7 @@ impl LlState {
             .into_boxed_slice();
         LlState {
             base,
-            instance,
+            session: Arc::new(()),
             end,
             page_offs,
             num_subtrees: AtomicU32::new(0),
@@ -325,8 +314,6 @@ impl LlState {
             shards,
             next_token: AtomicU64::new(2),
             frozen: AtomicBool::new(false),
-            delegated: AtomicI64::new(0),
-            delegated_bytes: AtomicI64::new(0),
         }
     }
 
@@ -342,10 +329,9 @@ impl LlState {
     pub(crate) unsafe fn create(
         base: usize,
         size: usize,
-        instance: u64,
         hdr: &mut AllocHeader,
     ) -> Option<LlState> {
-        let st = Self::new_empty(base, size, instance, hdr.stats().end);
+        let st = Self::new_empty(base, size, hdr.stats().end);
         let page = st.format_page(hdr).ok()?;
         hdr.set_ll_dir(page);
         Some(st)
@@ -373,14 +359,13 @@ impl LlState {
         base: usize,
         size: usize,
         committed: usize,
-        instance: u64,
         hdr: &AllocHeader,
     ) -> Result<Option<LlState>> {
         let ll_dir = hdr.ll_dir();
         if ll_dir == 0 {
             return Ok(None);
         }
-        let st = Self::new_empty(base, size, instance, hdr.stats().end);
+        let st = Self::new_empty(base, size, hdr.stats().end);
         if st.end > committed as u64 {
             return Err(NvError::BadImage(format!(
                 "allocator end {} beyond the committed size {committed}",
@@ -482,21 +467,13 @@ impl LlState {
         }
     }
 
-    /// Whether `off` falls inside a bitmap-owned span (its frees must be
-    /// routed here, whatever the current allocation mode).
-    #[inline]
-    pub(crate) fn owns(&self, off: u64) -> bool {
-        let g = (off / GRANULE) as usize;
-        g < self.granules.len() && self.granules[g].load(Ordering::Acquire) != 0
-    }
-
     /// CAS-allocates one block of `class`, preferring this thread's
     /// reserved subtree. Returns the block offset, or `None` when no
     /// reachable subtree has a free block (the caller then grows one
     /// under the region lock or falls back to the legacy allocator).
     pub(crate) fn alloc(&self, class: usize) -> Option<u64> {
         // Fast path: the reserved subtree.
-        if let Some(Some(off)) = with_slot(self.instance, |s| {
+        if let Some(Some(off)) = with_slot(&self.session, |s| {
             let id = s.ids[class];
             if id == 0 {
                 return None;
@@ -611,7 +588,7 @@ impl LlState {
                 if steal {
                     metrics::incr(Counter::LlallocSubtreeSteals);
                 }
-                let remembered = with_slot(self.instance, |s| {
+                let remembered = with_slot(&self.session, |s| {
                     s.ids[class] = id + 1;
                     s.tokens[class] = token;
                 })
@@ -633,86 +610,10 @@ impl LlState {
         Reserve::Exhausted
     }
 
-    /// Lock-free batch claim for magazine refills: claims up to
-    /// `out.len()` blocks of `class` in whole-word CAS steps against the
-    /// reserved subtree, routing the refill through subtree reservation
-    /// instead of the region mutex. Returns the number of offsets
-    /// written (0 when the bitmaps have nothing for this class — the
-    /// caller then falls back to the legacy carve).
-    ///
-    /// Op counters are *not* touched: claimed blocks belong to a
-    /// volatile magazine, mirroring `AllocHeader::carve_batch`.
-    pub(crate) fn carve_batch(&self, class: usize, out: &mut [u64]) -> usize {
-        let mut n = 0;
-        while n < out.len() {
-            let id = match self.reserve(class) {
-                Reserve::Reserved(id) => id,
-                Reserve::Direct(off) => {
-                    out[n] = off;
-                    n += 1;
-                    continue;
-                }
-                Reserve::Exhausted => break,
-            };
-            let d = self.desc(id);
-            let mask = d.mask();
-            let mut cur = d.bitmap().load(Ordering::Acquire);
-            loop {
-                let want = out.len() - n;
-                let mut claim = 0u64;
-                let mut avail = !cur & mask;
-                for _ in 0..want.min(avail.count_ones() as usize) {
-                    let bit = avail.trailing_zeros();
-                    claim |= 1 << bit;
-                    avail &= avail - 1;
-                }
-                if claim == 0 {
-                    break;
-                }
-                match d.bitmap().compare_exchange_weak(
-                    cur,
-                    cur | claim,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => {
-                        persist_word(d.bitmap_addr());
-                        d.free()
-                            .fetch_sub(claim.count_ones() as u64, Ordering::Relaxed);
-                        let mut c = claim;
-                        while c != 0 {
-                            let bit = c.trailing_zeros();
-                            out[n] = d.base() + bit as u64 * CLASS_SIZES[class] as u64;
-                            n += 1;
-                            c &= c - 1;
-                        }
-                        break;
-                    }
-                    Err(seen) => {
-                        metrics::incr(Counter::LlallocCasRetries);
-                        cur = seen;
-                    }
-                }
-            }
-            if n < out.len() && d.free().load(Ordering::Relaxed) == 0 {
-                // Subtree drained mid-batch; reserve another.
-                continue;
-            }
-            break;
-        }
-        if n > 0 {
-            self.delegated.fetch_add(n as i64, Ordering::Relaxed);
-            self.delegated_bytes
-                .fetch_add((n * CLASS_SIZES[class]) as i64, Ordering::Relaxed);
-        }
-        n
-    }
-
     /// Routes a free back into its bitmap. Returns the block's class, or
-    /// `None` when `off` is not bitmap-owned (legacy block). `counted`
-    /// distinguishes an application free (true) from a magazine restore
-    /// (false, not an op-count event).
-    pub(crate) fn free_block(&self, off: u64, counted: bool) -> Option<usize> {
+    /// `None` when `off` is not bitmap-owned (a locked-core block) — the
+    /// granule map makes that test exact, whatever the allocation mode.
+    pub(crate) fn free_block(&self, off: u64) -> Option<usize> {
         let g = (off / GRANULE) as usize;
         if g >= self.granules.len() {
             return None;
@@ -739,16 +640,9 @@ impl LlState {
         // space.
         persist_word(d.bitmap_addr());
         d.free().fetch_add(1, Ordering::Relaxed);
-        if counted {
-            self.shards[my_shard()]
-                .frees
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            // A magazine restore ends the block's delegation.
-            self.delegated.fetch_sub(1, Ordering::Relaxed);
-            self.delegated_bytes
-                .fetch_sub(CLASS_SIZES[class] as i64, Ordering::Relaxed);
-        }
+        self.shards[my_shard()]
+            .frees
+            .fetch_add(1, Ordering::Relaxed);
         Some(class)
     }
 
@@ -890,20 +784,6 @@ impl LlState {
         (blocks, bytes)
     }
 
-    /// Live (blocks, bytes) for the statistics aggregate: the bitmap
-    /// popcount minus the delegated balance, so blocks circulating in
-    /// magazine caches — which the caches' own shards account for — are
-    /// not counted twice. Signed because direct frees of delegated
-    /// blocks strand offsetting balances on both sides; the *sum* with
-    /// the cache shards stays exact.
-    pub(crate) fn stat_live(&self) -> (i64, i64) {
-        let (blocks, bytes) = self.live();
-        (
-            blocks as i64 - self.delegated.load(Ordering::Relaxed),
-            bytes as i64 - self.delegated_bytes.load(Ordering::Relaxed),
-        )
-    }
-
     /// Persists the current bitmap popcount into the first page's header
     /// (one flushed line) as part of a statistics fold. Paired with
     /// [`LlState::folded_live`] at the next open; see [`PAGE_FOLD_BLOCKS`].
@@ -1004,10 +884,6 @@ enum Reserve {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as TestCounter;
-    use std::sync::Arc;
-
-    static TEST_INSTANCE: TestCounter = TestCounter::new(1 << 40);
 
     /// A malloc'd arena standing in for a mapped region.
     struct Arena {
@@ -1022,8 +898,7 @@ mod tests {
             let mut hdr = AllocHeader::zeroed();
             hdr.init(1024, size as u64);
             let base = mem.as_ptr() as usize;
-            let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-            let ll = unsafe { LlState::create(base, size, instance, &mut hdr) }.unwrap();
+            let ll = unsafe { LlState::create(base, size, &mut hdr) }.unwrap();
             Arena { mem, hdr, ll }
         }
         fn base(&self) -> usize {
@@ -1053,7 +928,7 @@ mod tests {
         }
         // Free half, reallocate, still distinct.
         for off in offs.drain(..100) {
-            assert_eq!(a.ll.free_block(off, true), Some(c));
+            assert_eq!(a.ll.free_block(off), Some(c));
         }
         for _ in 0..100 {
             offs.push(a.alloc(c));
@@ -1074,11 +949,13 @@ mod tests {
         let mut a = Arena::new(1 << 16);
         let c = crate::alloc::class_for(256).unwrap();
         let off = a.alloc(c);
-        assert!(a.ll.owns(off));
-        // The region header area is never bitmap-owned.
-        assert!(!a.ll.owns(0));
-        assert_eq!(a.ll.free_block(8, true), None);
-        assert_eq!(a.ll.free_block(off, true), Some(c));
+        // The region header area is never bitmap-owned, nor is anything
+        // past the mapped span.
+        assert_eq!(a.ll.free_block(0), None);
+        assert_eq!(a.ll.free_block(8), None);
+        assert_eq!(a.ll.free_block(1 << 20), None);
+        assert_eq!(a.ll.free_block(off), Some(c));
+        assert_eq!(a.ll.live().0, 0);
     }
 
     #[test]
@@ -1087,11 +964,10 @@ mod tests {
         let c = crate::alloc::class_for(128).unwrap();
         let offs: Vec<u64> = (0..77).map(|_| a.alloc(c)).collect();
         for &off in &offs[..7] {
-            a.ll.free_block(off, true);
+            a.ll.free_block(off);
         }
         // Simulated crash: rebuild volatile state from the media bytes.
-        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let ll2 = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &a.hdr) }
+        let ll2 = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), &a.hdr) }
             .unwrap()
             .expect("image has a bitmap directory");
         let (blocks, bytes) = ll2.live();
@@ -1121,31 +997,8 @@ mod tests {
         let page = a.hdr.ll_dir();
         let meta_addr = a.base() + page as usize + DESC_SIZE + D_META;
         unsafe { *(meta_addr as *mut u64) = 0xff };
-        let instance = TEST_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        let res = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), instance, &a.hdr) };
+        let res = unsafe { LlState::open(a.base(), a.mem.len(), a.mem.len(), &a.hdr) };
         assert!(res.is_err(), "corrupt class must fail the scan");
-    }
-
-    #[test]
-    fn carve_batch_claims_whole_words() {
-        let mut a = Arena::new(1 << 18);
-        let c = crate::alloc::class_for(32).unwrap();
-        unsafe { a.ll.grow(&mut a.hdr, c) }.unwrap();
-        let mut out = [0u64; 48];
-        let n = a.ll.carve_batch(c, &mut out);
-        assert_eq!(n, 48);
-        let mut sorted = out.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 48, "batch blocks distinct");
-        // Restores go back one by one (magazine drain path).
-        for &off in &out {
-            assert_eq!(a.ll.free_block(off, false), Some(c));
-        }
-        let (blocks, _) = a.ll.live();
-        assert_eq!(blocks, 0);
-        let (allocs, frees) = a.ll.op_counts();
-        assert_eq!((allocs, frees), (0, 0), "batch paths bypass op counters");
     }
 
     #[test]
@@ -1170,7 +1023,7 @@ mod tests {
                     for i in 0..OPS {
                         if i % 3 == 0 && !live.is_empty() {
                             let off = live.swap_remove((t + i) % live.len());
-                            assert_eq!(a.ll.free_block(off, true), Some(c));
+                            assert_eq!(a.ll.free_block(off), Some(c));
                         } else {
                             let off = a.ll.alloc(c).expect("pre-grown capacity");
                             // Stamp and verify: a double-served block
@@ -1187,7 +1040,7 @@ mod tests {
                         }
                     }
                     for off in live {
-                        a.ll.free_block(off, true);
+                        a.ll.free_block(off);
                     }
                 })
             })

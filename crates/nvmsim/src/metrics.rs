@@ -21,7 +21,7 @@
 //! A counter bump is one thread-sharded `fetch_add(Relaxed)` (~1 ns) and
 //! rides only paths that already cross a call or lock boundary: emulated
 //! flush/barrier latency injection, the fat-pointer hashtable (modeled as
-//! a library call per the paper), magazine refill/flush critical sections,
+//! a library call per the paper), allocator ops and their CAS retries,
 //! region and transaction lifecycle edges. The RIV `x2p`/`p2x` hot path is
 //! a handful of inline instructions and stays **branch-free by default**:
 //! its counters only exist under the `pi-core` crate's `riv-metrics`
@@ -83,16 +83,11 @@ counters! {
     RivX2p => "riv_x2p",
     /// RIV `p2x` translations (zero unless `pi-core/riv-metrics` is on).
     RivP2x => "riv_p2x",
-    /// Magazine refills from the shared per-class free lists.
-    MagazineRefills => "magazine_refills",
-    /// Magazine flushes back to the shared free lists (explicit flush,
-    /// overflow cold-half restore, or thread-exit retirement).
-    MagazineFlushes => "magazine_flushes",
     /// Regions registered (create or open).
     RegionOpens => "region_opens",
     /// Regions unregistered (close, crash teardown, or drop).
     RegionCloses => "region_closes",
-    /// Region allocator allocations (magazine and locked paths).
+    /// Region allocator allocations (bitmap and locked-core paths).
     RegionAllocs => "region_allocs",
     /// Region allocator frees.
     RegionFrees => "region_frees",
@@ -284,11 +279,11 @@ mod tests {
     #[test]
     fn add_is_visible_in_snapshot() {
         let before = snapshot();
-        add(Counter::MagazineRefills, 3);
-        incr(Counter::MagazineRefills);
+        add(Counter::RegionGrows, 3);
+        incr(Counter::RegionGrows);
         let after = snapshot();
         let d = after.delta(&before);
-        assert!(d.get(Counter::MagazineRefills) >= 4);
+        assert!(d.get(Counter::RegionGrows) >= 4);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! allocator's frontier is extended, and the translation tables never
 //! change — RIV values keep resolving across the growth.
 
-use crate::alloc::{class_for, AllocHeader, AllocStats, CLASS_SIZES, NUM_CLASSES};
+use crate::alloc::{class_for, AllocHeader, AllocStats, NUM_CLASSES};
 use crate::error::{NvError, Result};
 use crate::latency;
 use crate::llalloc::{ClassOccupancy, LlState};
-use crate::magazine::{self, LocalStats, ThreadCache, REFILL_BATCH};
 use crate::mem::{align_up, page_size};
 use crate::nvspace::{ChunkRun, NvSpace};
 use crate::registry;
@@ -30,7 +29,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::ptr::NonNull;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Magic number identifying a region image ("NVPIRGN1").
@@ -124,18 +123,33 @@ enum Backing {
     },
 }
 
-/// Source of unique per-open-session ids: region ids are reused across
-/// close/reopen, so thread-local caches key on these instead.
-static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(1);
+/// Counters of the locked segregated-fit core, guarded by `alloc_lock`.
+/// Region statistics are these plus the bitmap allocator's popcount and
+/// op counts (see [`Inner::totals`]).
+#[derive(Debug, Default)]
+struct CoreStats {
+    /// Signed: a reopened image seeds them as the persisted totals minus
+    /// the bitmap popcount recorded at the same fold, and lock-free
+    /// traffic racing that fold can leave the two a few blocks apart.
+    live_bytes: i64,
+    live_allocs: i64,
+    alloc_calls: u64,
+    free_calls: u64,
+}
 
-fn seed_stats(s: &AllocStats) -> LocalStats {
-    LocalStats {
-        live_bytes: s.live_bytes as i64,
-        live_allocs: s.live_allocs as i64,
-        alloc_calls: s.alloc_calls,
-        free_calls: s.free_calls,
-        cached_bytes: 0,
-        cached_blocks: 0,
+impl CoreStats {
+    /// The locked core's share of a persisted image's counters: the
+    /// folded totals minus the bitmap contribution *as of that fold*
+    /// (not the open-time popcount — after a crash the two differ by the
+    /// unfolded ops, which the live bitmap accounts for by itself).
+    fn seed(persisted: &AllocStats, ll: Option<&LlState>) -> CoreStats {
+        let (blocks, bytes) = ll.map_or((0, 0), LlState::folded_live);
+        CoreStats {
+            live_bytes: persisted.live_bytes as i64 - bytes as i64,
+            live_allocs: persisted.live_allocs as i64 - blocks as i64,
+            alloc_calls: persisted.alloc_calls,
+            free_calls: persisted.free_calls,
+        }
     }
 }
 
@@ -154,12 +168,10 @@ pub(crate) struct Inner {
     capacity: usize,
     was_dirty: bool,
     backing: Backing,
-    alloc_lock: Mutex<()>,
+    /// Serializes the locked core, header mutation and bitmap growth;
+    /// holds the locked core's counters.
+    alloc_lock: Mutex<CoreStats>,
     closed: AtomicBool,
-    /// Unique id of this open session (see [`NEXT_INSTANCE`]).
-    instance: u64,
-    /// Whether class-sized allocations may use per-thread magazines.
-    magazines: AtomicBool,
     /// Whether class-sized allocations use the lock-free two-level
     /// allocator (the default whenever `ll` is present).
     lockfree: AtomicBool,
@@ -167,14 +179,6 @@ pub(crate) struct Inner {
     /// legacy images (no bitmap directory) and regions too small to
     /// host a bitmap page.
     ll: Option<LlState>,
-    /// Every live thread cache of this region, so close can drain them,
-    /// statistics can aggregate them, and out-of-memory refills can
-    /// reclaim cached blocks.
-    caches: Mutex<Vec<Arc<ThreadCache>>>,
-    /// Statistics of exited threads and of locked slow-path operations —
-    /// the aggregation base the per-thread shards are summed onto. Only
-    /// touched under `alloc_lock`.
-    retired: Mutex<LocalStats>,
 }
 
 /// Handle to an open NVRegion.
@@ -365,7 +369,6 @@ impl Region {
             hdr.alloc.init(RegionHeader::data_start(), size as u64);
             hdr.fault = FaultStamp::default();
         }
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
         // Format the first bitmap page of the two-level allocator before
         // the slot-A seed below, so even the seed snapshot carries the
         // directory offset. Volatile maps are sized for `capacity` so the
@@ -374,7 +377,7 @@ impl Region {
         // just initialized for this base/size.
         let ll = unsafe {
             let hdr = &mut *(base as *mut RegionHeader);
-            LlState::create(base, capacity, instance, &mut hdr.alloc)
+            LlState::create(base, capacity, &mut hdr.alloc)
         };
         let inner = Inner {
             space,
@@ -385,14 +388,10 @@ impl Region {
             capacity,
             was_dirty: false,
             backing: backing.unwrap_or(Backing::Anonymous),
-            alloc_lock: Mutex::new(()),
+            alloc_lock: Mutex::new(CoreStats::default()),
             closed: AtomicBool::new(false),
-            instance,
-            magazines: AtomicBool::new(true),
             lockfree: AtomicBool::new(ll.is_some()),
             ll,
-            caches: Mutex::new(Vec::new()),
-            retired: Mutex::new(LocalStats::default()),
         };
         // Seed slot A so even a never-synced image has one valid
         // checksummed snapshot to recover from.
@@ -620,12 +619,8 @@ impl Region {
         unsafe {
             (*(base as *mut RegionHeader)).flags |= FLAG_DIRTY;
         }
-        // Seed the volatile counters from the persisted image; blocks a
-        // previous session leaked in magazines are simply live (and thus
-        // reclaimable only by their owner structure, as for any leak).
         // SAFETY: the image is mapped and its header was just validated.
         let persisted = unsafe { (*(base as *const RegionHeader)).alloc.stats() };
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
         // Recovery scan of the two-level allocator: one bounded pass over
         // the bitmap pages rebuilds the free counters and granule map.
         // Structural damage degrades to the legacy allocator — the open
@@ -637,24 +632,11 @@ impl Region {
                 base,
                 capacity,
                 size,
-                instance,
                 &(*(base as *const RegionHeader)).alloc,
             )
             .unwrap_or(None)
         };
-        // The persisted counters include the bitmap contribution *as of
-        // the fold that wrote them*; that snapshot (not the open-time
-        // popcount — after a crash the two differ by the unfolded ops)
-        // is what gets backed out, leaving the legacy remainder as the
-        // retired base. The live aggregate then re-adds the open-time
-        // bitmap truth via `LlState::stat_live`, so blocks allocated or
-        // freed after the last fold are accounted exactly.
-        let mut seeded = seed_stats(&persisted);
-        if let Some(ll) = &ll {
-            let (blocks, bytes) = ll.folded_live();
-            seeded.live_allocs -= blocks as i64;
-            seeded.live_bytes -= bytes as i64;
-        }
+        let core = CoreStats::seed(&persisted, ll.as_ref());
         let inner = Inner {
             space,
             rid,
@@ -668,14 +650,10 @@ impl Region {
                 path: path.to_path_buf(),
                 shared,
             },
-            alloc_lock: Mutex::new(()),
+            alloc_lock: Mutex::new(core),
             closed: AtomicBool::new(false),
-            instance,
-            magazines: AtomicBool::new(true),
             lockfree: AtomicBool::new(ll.is_some()),
             ll,
-            caches: Mutex::new(Vec::new()),
-            retired: Mutex::new(seeded),
         };
         registry::register(rid, base, size);
         Ok(Region {
@@ -853,10 +831,10 @@ impl Region {
 
     /// Like [`Region::alloc`] but returns the position-independent offset.
     ///
-    /// Class-sized requests are served from the calling thread's magazine
-    /// (see [`crate::magazine`]) and normally never touch the region lock;
-    /// large requests and threads without usable thread-local storage fall
-    /// back to the locked allocator.
+    /// Class-sized requests are served by the lock-free bitmap allocator
+    /// (see [`crate::llalloc`]) and normally never touch the region lock;
+    /// requests over 4 KiB, legacy images and regions switched with
+    /// [`Region::set_lockfree`] use the locked segregated-fit core.
     ///
     /// # Errors
     ///
@@ -888,13 +866,6 @@ impl Region {
                     return self.alloc_lockfree(ll, class, size, align, rounded);
                 }
             }
-            if self.inner.magazines.load(Ordering::Relaxed) {
-                if let Some(res) =
-                    magazine::with_cache(&self.inner, |cache| self.alloc_cached(cache, class))
-                {
-                    return res;
-                }
-            }
         }
         self.alloc_slow(size, align, rounded)
     }
@@ -902,8 +873,9 @@ impl Region {
     /// Lock-free fast path: CAS a bit in the thread's reserved subtree
     /// (see [`crate::llalloc`]). Exhaustion grows a fresh subtree from
     /// the bump frontier under the region lock; when the frontier is dry
-    /// too, the legacy free lists (pre-bitmap blocks, reclaimed
-    /// magazines) are the last resort before out-of-memory.
+    /// too, the locked core's free lists (pre-bitmap blocks, blocks freed
+    /// while the region ran on the locked core) are the last resort
+    /// before out-of-memory.
     fn alloc_lockfree(
         &self,
         ll: &LlState,
@@ -937,80 +909,24 @@ impl Region {
         }
     }
 
-    /// Magazine fast path: pop the thread's cache, refilling on miss. The
-    /// hit path takes exactly one uncontended per-thread lock.
-    fn alloc_cached(&self, cache: &ThreadCache, class: usize) -> Result<u64> {
-        if let Some(off) = cache.inner.lock().take(class) {
-            return Ok(off);
-        }
-        self.refill(cache, class)
-    }
-
-    /// Refills an empty magazine: one short critical section unlinks up to
-    /// [`REFILL_BATCH`] blocks from the shared free list (bump frontier as
-    /// fallback), serves the first and caches the rest.
-    fn refill(&self, cache: &ThreadCache, class: usize) -> Result<u64> {
-        crate::metrics::incr(crate::metrics::Counter::MagazineRefills);
-        // Regions with bitmap pages refill from subtree reservations
-        // first — whole-word CAS claims, no lock — and only fall back to
-        // the mutex-guarded free lists when the bitmaps are dry.
-        if let Some(ll) = &self.inner.ll {
-            let mut batch = [0u64; REFILL_BATCH];
-            let n = ll.carve_batch(class, &mut batch);
-            if n > 0 {
-                cache.inner.lock().stock(class, &batch[1..n]);
-                return Ok(batch[0]);
-            }
-        }
-        let _g = self.inner.alloc_lock.lock();
+    /// The locked segregated-fit core: large sizes, odd alignments,
+    /// legacy images, and regions switched off the bitmap allocator.
+    fn alloc_slow(&self, size: usize, align: usize, rounded: usize) -> Result<u64> {
+        let mut core = self.inner.alloc_lock.lock();
         if self.inner.closed.load(Ordering::Acquire) {
             return Err(NvError::RegionClosed {
                 rid: self.inner.rid,
             });
         }
-        // SAFETY: lock held, region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
-        let mut batch = [0u64; REFILL_BATCH];
-        // SAFETY: base/header pair is this region's; see above.
-        let mut n = unsafe { hdr.alloc.carve_batch(self.inner.base, class, &mut batch) };
-        if n == 0 {
-            // The shared allocator is dry, but other threads' magazines may
-            // hold cached blocks: pull everything back and retry once.
-            self.inner.reclaim_caches(&mut hdr.alloc);
-            // SAFETY: as above.
-            n = unsafe { hdr.alloc.carve_batch(self.inner.base, class, &mut batch) };
-            if n == 0 {
-                return Err(NvError::OutOfMemory {
-                    region: self.inner.rid,
-                    requested: CLASS_SIZES[class],
-                });
-            }
-        }
-        cache.inner.lock().stock(class, &batch[1..n]);
-        self.inner.fold_counters(&mut hdr.alloc);
-        Ok(batch[0])
-    }
-
-    /// Locked slow path: large sizes, magazines disabled, or no TLS.
-    fn alloc_slow(&self, size: usize, align: usize, rounded: usize) -> Result<u64> {
-        let _g = self.inner.alloc_lock.lock();
         // SAFETY: base is this region's base; the region stays mapped while
-        // the handle exists.
+        // the handle exists and is open.
         let hdr = unsafe { self.header_mut() };
         // SAFETY: as above.
-        let mut res = unsafe { hdr.alloc.alloc(self.inner.base, size, align) };
-        if res.is_err() {
-            // Cached blocks of a suitable class may satisfy the request.
-            self.inner.reclaim_caches(&mut hdr.alloc);
-            // SAFETY: as above.
-            res = unsafe { hdr.alloc.alloc(self.inner.base, size, align) };
-        }
-        match res {
+        match unsafe { hdr.alloc.alloc(self.inner.base, size, align) } {
             Ok(off) => {
-                let mut retired = self.inner.retired.lock();
-                retired.live_bytes += rounded as i64;
-                retired.live_allocs += 1;
-                retired.alloc_calls += 1;
+                core.live_bytes += rounded as i64;
+                core.live_allocs += 1;
+                core.alloc_calls += 1;
                 Ok(off)
             }
             Err(NvError::OutOfMemory { requested, .. }) => Err(NvError::OutOfMemory {
@@ -1021,11 +937,9 @@ impl Region {
         }
     }
 
-    /// Returns a block to the allocator.
-    ///
-    /// Class-sized blocks go onto the calling thread's magazine; when a
-    /// magazine overflows, its cold half is restored to the shared free
-    /// list under one short critical section.
+    /// Returns a block to the allocator that owns it: a bitmap-owned
+    /// block is cleared in place, any other goes back on the locked
+    /// core's free lists.
     ///
     /// # Safety
     ///
@@ -1043,46 +957,21 @@ impl Region {
     unsafe fn dealloc_inner(&self, ptr: NonNull<u8>, size: usize) {
         crate::metrics::incr(crate::metrics::Counter::RegionFrees);
         let off = (ptr.as_ptr() as usize - self.inner.base) as u64;
-        let rounded = AllocHeader::rounded_size(size);
-        // In lock-free mode, bitmap-owned blocks are cleared in place
-        // with one CAS + flush: their spans never mix with free-list
-        // blocks, so routing by granule is exact. In magazine mode the
-        // block goes back on the thread's magazine instead (keeping the
-        // reuse fast path and its accounting); drains restore it to the
-        // bitmap later.
-        if self.inner.lockfree.load(Ordering::Relaxed) {
-            if let Some(ll) = &self.inner.ll {
-                if ll.owns(off) && ll.free_block(off, true).is_some() {
-                    return;
-                }
-            }
-        }
-        if let Some(class) = class_for(rounded) {
-            if self.inner.magazines.load(Ordering::Relaxed) {
-                let pushed =
-                    magazine::with_cache(&self.inner, |cache| cache.inner.lock().put(class, off));
-                if let Some(overflow) = pushed {
-                    if let Some(cold) = overflow {
-                        self.inner.restore_overflow(class, &cold);
-                    }
-                    return;
-                }
-            }
-        }
-        // Slow path (magazines off or no TLS): a bitmap-owned block
-        // still must never reach the legacy free lists.
+        // Bitmap-owned blocks are cleared in place with one CAS + flush,
+        // whatever the allocation mode: their spans never mix with
+        // free-list blocks, so routing by granule is exact.
         if let Some(ll) = &self.inner.ll {
-            if ll.owns(off) && ll.free_block(off, true).is_some() {
+            if ll.free_block(off).is_some() {
                 return;
             }
         }
-        let _g = self.inner.alloc_lock.lock();
+        let rounded = AllocHeader::rounded_size(size);
+        let mut core = self.inner.alloc_lock.lock();
         let hdr = self.header_mut();
         hdr.alloc.dealloc(self.inner.base, off, size);
-        let mut retired = self.inner.retired.lock();
-        retired.live_bytes -= rounded as i64;
-        retired.live_allocs -= 1;
-        retired.free_calls += 1;
+        core.live_bytes -= rounded as i64;
+        core.live_allocs -= 1;
+        core.free_calls += 1;
     }
 
     /// Converts an absolute address inside this region to its offset.
@@ -1107,27 +996,17 @@ impl Region {
         self.inner.base + off as usize
     }
 
-    /// Allocator statistics, from the application's perspective: blocks
-    /// cached in thread magazines count as free, not live. (The on-media
-    /// header counts them as live until flushed — see [`crate::magazine`].)
+    /// Allocator statistics over both allocators: the locked core's
+    /// counters plus the bitmap allocator's popcount and op counts.
     pub fn stats(&self) -> AllocStats {
-        let _g = self.inner.alloc_lock.lock();
-        let s = self.header().alloc.stats();
-        let t = self.inner.aggregate_stats();
-        let (ll_allocs, ll_frees, ll_blocks, ll_bytes) = self.inner.ll_totals();
-        AllocStats {
-            live_bytes: (t.live_bytes + ll_bytes).max(0) as u64,
-            live_allocs: (t.live_allocs + ll_blocks).max(0) as u64,
-            alloc_calls: t.alloc_calls + ll_allocs,
-            free_calls: t.free_calls + ll_frees,
-            bump: s.bump,
-            end: s.end,
-        }
+        let core = self.inner.alloc_lock.lock();
+        self.inner.totals(&core, &self.header().alloc)
     }
 
     /// Switches class-sized allocation between the lock-free two-level
     /// path (the default on regions that carry bitmap pages) and the
-    /// legacy magazine/mutex path — the benchmark baseline. Frees of
+    /// locked segregated-fit core, whose free lists give callers control
+    /// of placement (see `pds::NodeArena::scatter`). Frees of
     /// bitmap-owned blocks keep routing through the bitmaps regardless
     /// of the mode. No-op on legacy images.
     pub fn set_lockfree(&self, enabled: bool) {
@@ -1146,49 +1025,6 @@ impl Region {
     /// for legacy images without bitmap pages.
     pub fn llalloc_occupancy(&self) -> Option<[ClassOccupancy; NUM_CLASSES]> {
         self.inner.ll.as_ref().map(|ll| ll.occupancy())
-    }
-
-    /// Enables or disables the per-thread magazine fast path for this
-    /// region (enabled by default). Disabling flushes every thread's
-    /// cached blocks back to the shared free lists, so the region behaves
-    /// exactly like the single-lock allocator — the benchmark baseline.
-    pub fn set_magazines(&self, enabled: bool) {
-        self.inner.magazines.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            let _ = self.flush_magazines();
-        }
-    }
-
-    /// Whether the magazine fast path is enabled for this region.
-    pub fn magazines_enabled(&self) -> bool {
-        self.inner.magazines.load(Ordering::Relaxed)
-    }
-
-    /// Flushes every thread's magazines back to the shared free lists and
-    /// folds the statistics counters into the persistent header. After
-    /// this (and before further allocation), the on-media image has no
-    /// blocks parked in volatile caches — a crash right now leaks nothing.
-    ///
-    /// # Errors
-    ///
-    /// [`NvError::RegionClosed`] after close.
-    pub fn flush_magazines(&self) -> Result<()> {
-        self.check_open()?;
-        crate::metrics::incr(crate::metrics::Counter::MagazineFlushes);
-        let _g = self.inner.alloc_lock.lock();
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(NvError::RegionClosed {
-                rid: self.inner.rid,
-            });
-        }
-        // SAFETY: lock held; region mapped while the handle exists.
-        let hdr = unsafe { self.header_mut() };
-        self.inner.reclaim_caches(&mut hdr.alloc);
-        self.inner.fold_counters(&mut hdr.alloc);
-        // The fold changed durable allocator state: flip a metadata slot
-        // so the checksummed snapshot keeps up with the primary.
-        self.inner.write_meta_slot();
-        Ok(())
     }
 
     /// An application-defined tag stored in the header (e.g. a schema id).
@@ -1363,13 +1199,12 @@ impl Region {
         self.check_open()?;
         {
             // Fold the volatile counters so the flushed image carries
-            // accurate statistics (magazine contents stay cached: sync is
-            // a durability point, not a quiescent point).
-            let _g = self.inner.alloc_lock.lock();
+            // accurate statistics.
+            let core = self.inner.alloc_lock.lock();
             if !self.inner.closed.load(Ordering::Acquire) {
                 // SAFETY: lock held; region mapped while the handle exists.
                 let hdr = unsafe { self.header_mut() };
-                self.inner.fold_counters(&mut hdr.alloc);
+                self.inner.fold_counters(&core, &mut hdr.alloc);
                 self.inner.write_meta_slot();
             }
         }
@@ -1480,8 +1315,8 @@ impl Region {
     /// Writes the current header snapshot (identity words, root
     /// directory, allocator state) into the inactive metadata slot and
     /// flips it active via its sequence number. Called automatically at
-    /// every durability point ([`Region::sync`],
-    /// [`Region::flush_magazines`], close); exposed so checkpoint-style
+    /// every durability point ([`Region::sync`], close); exposed so
+    /// checkpoint-style
     /// callers and fault-injection harnesses can force a flip.
     ///
     /// # Errors
@@ -1490,7 +1325,7 @@ impl Region {
     pub fn update_meta_slots(&self) -> Result<()> {
         self.check_open()?;
         {
-            let _g = self.inner.alloc_lock.lock();
+            let core = self.inner.alloc_lock.lock();
             if self.inner.closed.load(Ordering::Acquire) {
                 return Err(NvError::RegionClosed {
                     rid: self.inner.rid,
@@ -1498,7 +1333,7 @@ impl Region {
             }
             // SAFETY: lock held; region mapped while the handle exists.
             let hdr = unsafe { self.header_mut() };
-            self.inner.fold_counters(&mut hdr.alloc);
+            self.inner.fold_counters(&core, &mut hdr.alloc);
             self.inner.write_meta_slot();
         }
         // A slot flip is a durability point: ship it (outside the
@@ -1605,7 +1440,6 @@ impl Region {
         }
         // SAFETY: as above.
         let persisted = unsafe { (*(base as *const RegionHeader)).alloc.stats() };
-        let instance = NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed);
         // Salvage keeps whatever bitmap pages still verify; unverifiable
         // ones degrade the session to the (frozen) legacy allocator, so
         // frees still route correctly and allocation fails cleanly.
@@ -1615,18 +1449,11 @@ impl Region {
                 base,
                 capacity,
                 size,
-                instance,
                 &(*(base as *const RegionHeader)).alloc,
             )
             .unwrap_or(None)
         };
-        let mut seeded = seed_stats(&persisted);
-        if let Some(ll) = &ll {
-            // Fold-time snapshot, as in `open_impl`.
-            let (blocks, bytes) = ll.folded_live();
-            seeded.live_allocs -= blocks as i64;
-            seeded.live_bytes -= bytes as i64;
-        }
+        let core = CoreStats::seed(&persisted, ll.as_ref());
         let inner = Inner {
             space,
             rid,
@@ -1640,14 +1467,10 @@ impl Region {
                 path: path.to_path_buf(),
                 shared: false,
             },
-            alloc_lock: Mutex::new(()),
+            alloc_lock: Mutex::new(core),
             closed: AtomicBool::new(false),
-            instance,
-            magazines: AtomicBool::new(true),
             lockfree: AtomicBool::new(ll.is_some()),
             ll,
-            caches: Mutex::new(Vec::new()),
-            retired: Mutex::new(seeded),
         };
         registry::register(rid, base, size);
         Ok((
@@ -1678,56 +1501,12 @@ fn entry_matches(entry: &RootEntry, name: &str) -> bool {
 }
 
 impl Inner {
-    /// Unique id of this open session (not the reusable region id).
-    pub(crate) fn instance(&self) -> u64 {
-        self.instance
-    }
-
     /// Current committed size. `Acquire` pairs with the `Release` store
     /// in [`Region::grow`]: a thread that observes a grown size also
     /// observes the newly committed memory behind it.
     #[inline]
     fn len(&self) -> usize {
         self.size.load(Ordering::Acquire)
-    }
-
-    /// Two-level allocator contributions to the aggregate statistics:
-    /// `(alloc_calls, free_calls, live_blocks, live_bytes)`, all zero
-    /// for legacy regions. Live counts are bitmap popcounts minus the
-    /// blocks delegated to magazine caches (the caches' own shards
-    /// account for those), so the sum with [`Inner::aggregate_stats`]
-    /// is exact in every allocation mode.
-    fn ll_totals(&self) -> (u64, u64, i64, i64) {
-        match &self.ll {
-            Some(ll) => {
-                let (allocs, frees) = ll.op_counts();
-                let (blocks, bytes) = ll.stat_live();
-                (allocs, frees, blocks, bytes)
-            }
-            None => (0, 0, 0, 0),
-        }
-    }
-
-    /// Returns drained blocks to their owning allocator: bitmap-owned
-    /// offsets are CAS-cleared in place (uncounted — the blocks were
-    /// never handed to the application), the rest go back to the legacy
-    /// class free list. Caller holds `alloc_lock`.
-    fn restore_blocks(&self, alloc: &mut AllocHeader, class: usize, blocks: &[u64]) {
-        let mut legacy = Vec::new();
-        for &off in blocks {
-            let routed = self
-                .ll
-                .as_ref()
-                .is_some_and(|ll| ll.owns(off) && ll.free_block(off, false).is_some());
-            if !routed {
-                legacy.push(off);
-            }
-        }
-        if !legacy.is_empty() {
-            // SAFETY: every offset was carved from this region's
-            // allocator and is unreferenced; the region is mapped.
-            unsafe { alloc.restore_batch(self.base, class, &legacy) };
-        }
     }
 
     /// Composes the current header snapshot and writes it — with the next
@@ -1748,103 +1527,35 @@ impl Inner {
         }
     }
 
-    /// Records a thread cache so close-time drain and out-of-memory
-    /// reclaim can reach it.
-    pub(crate) fn register_cache(&self, cache: Arc<ThreadCache>) {
-        self.caches.lock().push(cache);
+    /// Region-wide statistics: the locked core's counters plus the
+    /// bitmap allocator's popcount and op counts. Caller holds
+    /// `alloc_lock` (that is where `core` comes from).
+    fn totals(&self, core: &CoreStats, alloc: &AllocHeader) -> AllocStats {
+        let (ll_allocs, ll_frees) = self.ll.as_ref().map_or((0, 0), LlState::op_counts);
+        let (ll_blocks, ll_bytes) = self.ll.as_ref().map_or((0, 0), LlState::live);
+        let s = alloc.stats();
+        AllocStats {
+            live_bytes: (core.live_bytes + ll_bytes as i64).max(0) as u64,
+            live_allocs: (core.live_allocs + ll_blocks as i64).max(0) as u64,
+            alloc_calls: core.alloc_calls + ll_allocs,
+            free_calls: core.free_calls + ll_frees,
+            bump: s.bump,
+            end: s.end,
+        }
     }
 
-    /// Thread-exit hook: restores one thread's cached blocks to the
-    /// shared free lists, merges its statistics shard into the retired
-    /// base, and unregisters the cache. No-op once the region is closed —
-    /// teardown already drained the blocks.
-    pub(crate) fn retire_thread_cache(&self, cache: &Arc<ThreadCache>) {
-        crate::metrics::incr(crate::metrics::Counter::MagazineFlushes);
-        let _g = self.alloc_lock.lock();
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        // SAFETY: lock held and the mapping is still live (closed=false).
-        let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-        {
-            let mut c = cache.inner.lock();
-            for class in 0..NUM_CLASSES {
-                let blocks = c.drain_class(class);
-                if blocks.is_empty() {
-                    continue;
-                }
-                self.restore_blocks(&mut hdr.alloc, class, &blocks);
-            }
-            self.retired.lock().merge(&c.stats);
-        }
-        self.caches.lock().retain(|c| !Arc::ptr_eq(c, cache));
-        self.fold_counters(&mut hdr.alloc);
-    }
-
-    /// Sums the retired base and every live thread's shard. Caller holds
-    /// `alloc_lock` (lock order is always region lock → cache lock).
-    fn aggregate_stats(&self) -> LocalStats {
-        let mut t = *self.retired.lock();
-        for cache in self.caches.lock().iter() {
-            t.merge(&cache.inner.lock().stats);
-        }
-        t
-    }
-
-    /// Writes the aggregated counters into the persistent header.
-    /// Magazine contents are accounted as live on media: a crash makes
-    /// them leaks, a flush turns them back into free-list blocks. Caller
-    /// holds `alloc_lock`.
-    fn fold_counters(&self, alloc: &mut AllocHeader) {
-        let t = self.aggregate_stats();
-        let (ll_allocs, ll_frees, ll_blocks, ll_bytes) = self.ll_totals();
-        alloc.set_stat_counters(
-            (t.live_bytes + t.cached_bytes as i64 + ll_bytes).max(0) as u64,
-            (t.live_allocs + t.cached_blocks as i64 + ll_blocks).max(0) as u64,
-            t.alloc_calls + ll_allocs,
-            t.free_calls + ll_frees,
-        );
-        // Snapshot the bitmap popcount alongside, so the next open can
-        // back the fold-time bitmap contribution out of these counters
-        // and re-add the (authoritative) open-time popcount. Lock-free
-        // traffic can drift between the two reads; both are exact at
-        // quiescent points (sync with no concurrent allocs, close).
+    /// Writes the region-wide totals into the persistent header and, in
+    /// the same step, records the bitmap popcount they include, so the
+    /// next open can split them again (see [`CoreStats::seed`]).
+    /// Lock-free traffic can drift between the two reads; both are exact
+    /// at quiescent points (sync with no concurrent allocs, close).
+    /// Caller holds `alloc_lock`.
+    fn fold_counters(&self, core: &CoreStats, alloc: &mut AllocHeader) {
+        let t = self.totals(core, alloc);
+        alloc.set_stat_counters(t.live_bytes, t.live_allocs, t.alloc_calls, t.free_calls);
         if let Some(ll) = &self.ll {
             ll.record_fold();
         }
-    }
-
-    /// Drains every registered thread cache into the shared free lists
-    /// (statistics shards stay with their caches: the blocks merely move
-    /// from cached back to free). Caller holds `alloc_lock`.
-    fn reclaim_caches(&self, alloc: &mut AllocHeader) {
-        let caches = self.caches.lock();
-        for cache in caches.iter() {
-            let mut c = cache.inner.lock();
-            for class in 0..NUM_CLASSES {
-                let blocks = c.drain_class(class);
-                if blocks.is_empty() {
-                    continue;
-                }
-                self.restore_blocks(alloc, class, &blocks);
-            }
-        }
-    }
-
-    /// Restores an overflow batch popped off a full magazine. The blocks
-    /// are already out of the magazine (and out of cached accounting), so
-    /// on a lost race with close they become (bounded) leaks rather than
-    /// writes into an unmapped page.
-    fn restore_overflow(&self, class: usize, blocks: &[u64]) {
-        crate::metrics::incr(crate::metrics::Counter::MagazineFlushes);
-        let _g = self.alloc_lock.lock();
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        // SAFETY: lock held and the mapping is still live (closed=false).
-        let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-        self.restore_blocks(&mut hdr.alloc, class, blocks);
-        self.fold_counters(&mut hdr.alloc);
     }
 
     fn teardown(&self, clean: bool) -> Result<()> {
@@ -1857,15 +1568,13 @@ impl Inner {
         }
         if clean {
             {
-                // Serialize with in-flight refills/flushes, then drain
-                // every magazine back to the persistent free lists and
-                // fold the counters before declaring the image clean.
-                let _g = self.alloc_lock.lock();
+                // Serialize with in-flight locked operations, then fold
+                // the counters before declaring the image clean.
+                let core = self.alloc_lock.lock();
                 // SAFETY: still mapped; we are the unique closer and the
                 // lock excludes concurrent allocator access.
                 let hdr = unsafe { &mut *(self.base as *mut RegionHeader) };
-                self.reclaim_caches(&mut hdr.alloc);
-                self.fold_counters(&mut hdr.alloc);
+                self.fold_counters(&core, &mut hdr.alloc);
                 if let Some(ll) = &self.ll {
                     // SAFETY: lock held, unique closer: quiescent.
                     unsafe { ll.seal() };
@@ -1881,9 +1590,8 @@ impl Inner {
                 result = self.space.sync_range(self.base, self.len());
             }
         }
-        // A crash teardown (clean=false) deliberately skips the drain:
-        // magazine contents are volatile, so whatever the last fold wrote
-        // is what recovery sees — cached blocks become bounded leaks.
+        // A crash teardown (clean=false) skips the fold: the counters of
+        // the last durability point are what recovery sees.
         //
         // A clean close is the final durability point: converge an
         // attached replication source on the closed image (including the
@@ -2060,16 +1768,32 @@ mod tests {
     #[test]
     fn crash_leaves_dirty_flag() {
         let path = tmpdir().join("crash.nvr");
+        // Churn both allocators: 100 blocks through the bitmaps, then 100
+        // through the locked core, all freed before the durability point.
+        let churn = |r: &Region| {
+            let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
+            for p in ptrs {
+                unsafe { r.dealloc(p, 64) };
+            }
+        };
         {
             let r = Region::create_file(&path, 1 << 20).unwrap();
+            churn(&r);
+            r.set_lockfree(false);
+            churn(&r);
             r.sync().unwrap();
             r.crash();
         }
         let r = Region::open_file(&path).unwrap();
         assert!(r.was_dirty());
+        assert_eq!(r.stats().live_allocs, 0, "a synced crash leaks nothing");
         r.close().unwrap();
+        // The clean close folded exact totals into a clean image.
         let r = Region::open_file(&path).unwrap();
         assert!(!r.was_dirty(), "clean close resets the flag");
+        let s = r.stats();
+        assert_eq!((s.live_allocs, s.live_bytes), (0, 0));
+        assert_eq!((s.alloc_calls, s.free_calls), (200, 200));
         r.close().unwrap();
         std::fs::remove_file(&path).ok();
     }
@@ -2141,111 +1865,23 @@ mod tests {
     #[test]
     fn dealloc_recycles_memory() {
         let r = Region::create(1 << 20).unwrap();
+        assert!(r.lockfree_enabled());
         let p1 = r.alloc(256, 8).unwrap();
         unsafe { r.dealloc(p1, 256) };
         let p2 = r.alloc(256, 8).unwrap();
         assert_eq!(p1, p2);
+        // The locked core recycles through its LIFO free list without
+        // moving the bump frontier.
+        r.set_lockfree(false);
+        assert!(!r.lockfree_enabled());
+        let p3 = r.alloc(256, 8).unwrap();
+        unsafe { r.dealloc(p3, 256) };
+        let bump = r.stats().bump;
+        let p4 = r.alloc(256, 8).unwrap();
+        assert_eq!(p3, p4);
+        assert_eq!(r.stats().bump, bump);
+        assert_eq!(r.stats().live_allocs, 2);
         r.close().unwrap();
-    }
-
-    #[test]
-    fn close_drains_magazines_into_clean_image() {
-        let path = tmpdir().join("magdrain.nvr");
-        {
-            let r = Region::create_file(&path, 1 << 20).unwrap();
-            let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
-            for p in ptrs {
-                unsafe { r.dealloc(p, 64) };
-            }
-            let s = r.stats();
-            assert_eq!(s.live_allocs, 0, "user perspective: all freed");
-            assert_eq!(s.live_bytes, 0);
-            r.close().unwrap();
-        }
-        // The close drained every magazine: the persisted image records no
-        // live blocks and validates cleanly on reopen.
-        let r = Region::open_file(&path).unwrap();
-        assert!(!r.was_dirty());
-        let s = r.stats();
-        assert_eq!(s.live_allocs, 0, "no blocks stranded in magazines");
-        assert_eq!(s.live_bytes, 0);
-        assert_eq!(s.alloc_calls, 100);
-        assert_eq!(s.free_calls, 100);
-        r.close().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn crash_leaks_at_most_one_magazine_per_class_per_thread() {
-        let path = tmpdir().join("magleak.nvr");
-        {
-            let r = Region::create_file(&path, 1 << 20).unwrap();
-            let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
-            for p in ptrs {
-                unsafe { r.dealloc(p, 64) };
-            }
-            // Make the fold durable, then die with the magazines loaded.
-            r.sync().unwrap();
-            r.crash();
-        }
-        let r = Region::open_file(&path).unwrap();
-        assert!(r.was_dirty());
-        let s = r.stats();
-        assert!(
-            s.live_allocs <= crate::magazine::MAGAZINE_CAP as u64,
-            "crash leaks at most one magazine of blocks, got {}",
-            s.live_allocs
-        );
-        // The image is still a working region after the bounded leak.
-        let p = r.alloc(64, 8).unwrap();
-        unsafe { r.dealloc(p, 64) };
-        r.close().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn flush_magazines_parks_nothing() {
-        let r = Region::create(1 << 20).unwrap();
-        let p = r.alloc(128, 8).unwrap();
-        unsafe { r.dealloc(p, 128) };
-        r.flush_magazines().unwrap();
-        // The freed block is back on the shared free list, not cached:
-        // a fresh refill re-carves it (LIFO) without moving the bump.
-        let bump_before = r.stats().bump;
-        let p2 = r.alloc(128, 8).unwrap();
-        assert_eq!(p, p2, "flushed block is first in the shared free list");
-        assert_eq!(r.stats().bump, bump_before);
-        r.close().unwrap();
-    }
-
-    #[test]
-    fn magazines_can_be_disabled_per_region() {
-        let r = Region::create(1 << 20).unwrap();
-        assert!(r.magazines_enabled());
-        let p = r.alloc(64, 8).unwrap();
-        unsafe { r.dealloc(p, 64) };
-        r.set_magazines(false);
-        assert!(!r.magazines_enabled());
-        // Locked path still recycles through the shared free list.
-        let p1 = r.alloc(64, 8).unwrap();
-        unsafe { r.dealloc(p1, 64) };
-        let p2 = r.alloc(64, 8).unwrap();
-        assert_eq!(p1, p2);
-        let s = r.stats();
-        assert_eq!(s.live_allocs, 1);
-        r.set_magazines(true);
-        r.close().unwrap();
-    }
-
-    #[test]
-    fn closed_region_rejects_magazine_flush() {
-        let r = Region::create(1 << 20).unwrap();
-        let r2 = r.clone();
-        r.close().unwrap();
-        assert!(matches!(
-            r2.flush_magazines(),
-            Err(NvError::RegionClosed { .. })
-        ));
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! unflushed line — loses nothing and strands nothing. After reopening,
 //! `Region::stats` must equal the application's surviving live set
 //! *exactly*: zero leaked blocks, zero lost blocks. This is the
-//! qualitative difference from the magazine path, whose crash contract
-//! is a bounded leak (`tests/stress.rs`).
+//! qualitative difference from the locked core, which persists nothing
+//! per operation and is exact only as of its last `sync`
+//! (`tests/stress.rs`).
 //!
 //! The churn is seeded; `ALLOC_MATRIX_SEED` overrides the seed so CI can
 //! run both a pinned and a randomized arm (see `.github/workflows/ci.yml`).
 
+use nvm_pi::nvmsim::metrics::{self, Counter};
 use nvm_pi::nvmsim::shadow;
 use nvm_pi::{FaultPolicy, Region};
 use std::ptr::NonNull;
@@ -203,4 +205,36 @@ fn multithread_crash_drop_unflushed_leaks_nothing() {
 fn multithread_crash_tear_words_leaks_nothing() {
     let seed = seed_from_env(0xC0FF_EE42);
     churn_crash_audit("tear.nvr", FaultPolicy::TearWords { seed }, seed);
+}
+
+#[test]
+fn one_thread_over_many_live_regions_keeps_every_reservation() {
+    // A thread keeps its subtree reservation in every region that stays
+    // open, however many it cycles over: nothing is evicted, so no
+    // allocation has to steal its own reservation back. (Steals are a
+    // process-wide counter; the serial guard keeps this binary's other
+    // tests from adding to it meanwhile.)
+    let _serial = util::serial_guard(&SERIAL);
+    let regions: Vec<Region> = (0..12).map(|_| Region::create(1 << 20).unwrap()).collect();
+    let before = metrics::snapshot();
+    let mut held = Vec::new();
+    for _ in 0..20 {
+        for r in &regions {
+            held.push((r, r.alloc(64, 8).unwrap()));
+        }
+    }
+    let steals = metrics::snapshot()
+        .delta(&before)
+        .get(Counter::LlallocSubtreeSteals);
+    assert_eq!(
+        steals, 0,
+        "round-robin over 12 live regions stole {steals} reservations"
+    );
+    for (r, p) in held {
+        unsafe { r.dealloc(p, 64) };
+    }
+    for r in regions {
+        assert_eq!(r.stats().live_allocs, 0);
+        r.close().unwrap();
+    }
 }

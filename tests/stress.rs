@@ -137,7 +137,7 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
     // Four threads churn alloc/free cycles on one shared region across a
     // mix of size classes. Every live block is stamped with a unique tag;
     // if two threads were ever handed the same block (a double-serve from
-    // a magazine or free list), the stamp check fails. At the end the
+    // a bitmap or free list), the stamp check fails. At the end the
     // user-visible statistics must balance exactly.
     const THREADS: usize = 4;
     const OPS: usize = 2_000;
@@ -198,8 +198,8 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
     assert_eq!(s.free_calls, total_frees, "free calls conserved");
     assert_eq!(s.live_allocs, 0, "no live blocks remain");
     assert_eq!(s.live_bytes, 0, "no live bytes remain");
-    // After draining the magazines, the persistent image agrees too.
-    region.flush_magazines().unwrap();
+    // A sync folds the totals into the header; they stay balanced.
+    region.sync().unwrap();
     let s = region.stats();
     assert_eq!(s.live_allocs, 0);
     assert_eq!(s.live_bytes, 0);
@@ -207,72 +207,74 @@ fn concurrent_churn_conserves_alloc_stats_and_never_double_serves() {
 }
 
 #[test]
-fn crash_with_loaded_magazines_leaks_boundedly_and_recovers() {
+fn locked_core_crash_after_sync_leaks_nothing_and_recovers() {
     let _serial = SERIAL.lock().unwrap();
     const THREADS: usize = 4;
+    // Three classes plus one size over 4 KiB (the large free list).
+    const SIZES: [usize; 4] = [16, 64, 1024, 6000];
     let dir = std::env::temp_dir().join(format!("nvmsim-stress-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("magcrash.nvr");
+    let path = dir.join("lockedcrash.nvr");
     {
         let region = Region::create_file(&path, 32 << 20).unwrap();
-        // The default lock-free bitmap path leaks *zero* blocks at a
-        // crash (see tests/alloc_recovery.rs); this test pins the
-        // magazine path's bounded-leak contract, so force it.
+        // The locked core persists nothing per operation; its contract is
+        // that a durability point leaves an exact image. (The default
+        // bitmap path persists every op; see tests/alloc_recovery.rs.)
         region.set_lockfree(false);
-        // Threads must stay alive across the crash: joining them earlier
-        // would run their thread-exit hooks and flush the magazines we
-        // want to lose.
-        let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
         let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
+            .map(|t| {
                 let r = region.clone();
-                let b = barrier.clone();
                 std::thread::spawn(move || {
-                    // Load this thread's 64-byte magazine by freeing a burst
-                    // of blocks, leaving them cached (not flushed).
-                    let ptrs: Vec<_> = (0..100).map(|_| r.alloc(64, 8).unwrap()).collect();
-                    for p in ptrs {
-                        unsafe { r.dealloc(p, 64) };
+                    let mut live = Vec::new();
+                    for i in 0..600 {
+                        if i % 3 == 2 {
+                            let (p, size) = live.swap_remove((t + i) % live.len());
+                            unsafe { r.dealloc(p, size) };
+                        } else {
+                            let size = SIZES[(t + i) % SIZES.len()];
+                            live.push((r.alloc(size, 8).unwrap(), size));
+                        }
                     }
-                    b.wait(); // magazines loaded
-                    b.wait(); // crash happened; exit hook sees a dead region
+                    for (p, size) in live {
+                        unsafe { r.dealloc(p, size) };
+                    }
                 })
             })
             .collect();
-        barrier.wait();
-        // Fold counters durably, then crash with the magazines loaded.
-        region.sync().unwrap();
-        region.crash();
-        barrier.wait();
         for h in handles {
             h.join().unwrap();
         }
+        let s = region.stats();
+        assert_eq!(s.live_allocs, 0);
+        assert_eq!(s.alloc_calls, s.free_calls);
+        region.sync().unwrap();
+        region.crash();
     }
     let region = Region::open_file(&path).unwrap();
     assert!(region.was_dirty(), "crash left the image dirty");
     let s = region.stats();
-    let bound = (THREADS * nvm_pi::nvmsim::magazine::MAGAZINE_CAP) as u64;
-    assert!(
-        s.live_allocs > 0,
-        "the crash really did strand magazine-cached blocks"
-    );
-    assert!(
-        s.live_allocs <= bound,
-        "crash leaked {} blocks, bound is {bound}",
-        s.live_allocs
-    );
-    // The recovered image is fully usable: allocate, free, close cleanly.
+    assert_eq!(s.live_allocs, 0, "a synced locked-core crash leaks nothing");
+    assert_eq!(s.live_bytes, 0);
+    // The recovered free lists serve again without touching the bump
+    // frontier; then free, and close cleanly.
+    region.set_lockfree(false);
     let p = region.alloc(64, 8).unwrap();
+    assert_eq!(
+        region.stats().bump,
+        s.bump,
+        "served from a recovered free list"
+    );
     unsafe { region.dealloc(p, 64) };
     region.close().unwrap();
     let region = Region::open_file(&path).unwrap();
     assert!(!region.was_dirty(), "clean close after recovery");
+    assert_eq!(region.stats().live_allocs, 0);
     region.close().unwrap();
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
-fn fault_injected_magazine_crash_never_double_serves_blocks() {
+fn fault_injected_churn_crash_never_double_serves_blocks() {
     let _serial = SERIAL.lock().unwrap();
     use nvm_pi::nvmsim::shadow;
     const THREADS: usize = 4;
@@ -297,10 +299,8 @@ fn fault_injected_magazine_crash_never_double_serves_blocks() {
         region.enable_shadow().unwrap();
         // Churn threads allocate fresh blocks, scribble tags into them
         // without flushing (tracked, so the writes are *lost* at the
-        // faulted crash), and free every other one to load their
-        // per-thread magazines. As in the test above, the threads stay
-        // alive across the crash so their exit hooks cannot flush the
-        // magazines we want to strand.
+        // faulted crash), and free every other one. The threads stay
+        // alive across the crash, holding their live blocks.
         let barrier = Arc::new(std::sync::Barrier::new(THREADS + 1));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -318,8 +318,8 @@ fn fault_injected_magazine_crash_never_double_serves_blocks() {
                             live.push(p);
                         }
                     }
-                    b.wait(); // magazines loaded, live blocks stranded
-                    b.wait(); // crash happened; exit hook sees a dead region
+                    b.wait(); // churn done, live blocks stranded
+                    b.wait(); // crash happened
                 })
             })
             .collect();
